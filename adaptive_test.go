@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -237,50 +238,16 @@ func TestAdaptiveApplyBatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRelaxedFacade drives the relaxed adaptive variant to a known
-// quiescent state and checks the mode plumbing.
+// TestAdaptiveRelaxedFacade: NewRelaxed rejects WithAdaptiveCombining
+// at every shard count, naming the option — the relaxed trie has no
+// announcement lists for a combining round to amortize.
 func TestAdaptiveRelaxedFacade(t *testing.T) {
 	for _, k := range []int{1, 4} {
-		cfg := aggressive
-		cfg.StartCombining = true
-		tr, err := lockfreetrie.NewRelaxed(256,
-			lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(cfg))
-		if err != nil {
-			t.Fatal(err)
+		_, err := lockfreetrie.NewRelaxed(256,
+			lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(aggressive))
+		if err == nil || !strings.Contains(err.Error(), "WithAdaptiveCombining") {
+			t.Fatalf("k=%d: NewRelaxed with WithAdaptiveCombining: %v, want a rejection naming the option", k, err)
 		}
-		if !tr.AdaptiveCombining() {
-			t.Fatal("AdaptiveCombining() = false")
-		}
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				lo := int64(id) * 64
-				for i := int64(0); i < 64; i++ {
-					tr.Insert(lo + i)
-				}
-				for i := int64(1); i < 64; i += 2 {
-					tr.Delete(lo + i)
-				}
-			}(g)
-		}
-		wg.Wait()
-		for x := int64(0); x < 256; x++ {
-			want := x%2 == 0
-			got, err := tr.Contains(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
-				t.Fatalf("k=%d: Contains(%d) = %v, want %v", k, x, got, want)
-			}
-		}
-		if got := tr.Len(); got != 128 {
-			t.Fatalf("k=%d: Len = %d, want 128", k, got)
-		}
-		e, d := tr.AdaptiveStats()
-		t.Logf("k=%d enables=%d disables=%d", k, e, d)
 	}
 }
 

@@ -1,9 +1,10 @@
 // Durability: the WithDurability option and the write-ahead wrapper it
 // installs around the assembled backend. The trie stays a pure
 // in-memory structure — durability is one decoration layer at the
-// facade seam, so it covers every construction path (k=1, sharded,
-// adaptive-resize) identically, the way observability attaches in
-// obs.go.
+// facade seam, so it covers both construction paths (a sharded table,
+// k = 1 included, and the adaptive-resize wrapper) identically. The
+// facade keeps its own pointer to the table it built, so the wrapper
+// never hides it from obs.go or the stats accessors.
 package lockfreetrie
 
 import (

@@ -2,6 +2,7 @@ package lockfreetrie_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -173,5 +174,54 @@ func TestNonDurableClose(t *testing.T) {
 	}
 	if rs := tr.RecoveryStats(); rs != (lockfreetrie.RecoveryStats{}) {
 		t.Fatalf("RecoveryStats = %+v, want zero", rs)
+	}
+}
+
+// TestDurableObsGauges: durability must not blind the gauges that read
+// the built table. With the write-ahead wrapper installed, combine.*,
+// ebr.epoch and the adaptive transition counters still come from the
+// live shards, on the default k = 1 path and on a sharded one.
+func TestDurableObsGauges(t *testing.T) {
+	for _, k := range []int{1, 4} {
+		tr, err := lockfreetrie.New(1<<12,
+			lockfreetrie.WithShards(k),
+			lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{StartCombining: true}),
+			lockfreetrie.WithDurability(t.TempDir(), lockfreetrie.WithSyncEvery(1<<20)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		const workers, per = 8, 4000
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(id int64) {
+				defer wg.Done()
+				for i := int64(0); i < per; i++ {
+					x := (id*per + i) % 1024
+					if i%2 == 0 {
+						_ = tr.Insert(x)
+					} else {
+						_ = tr.Delete(x)
+					}
+				}
+			}(int64(w))
+		}
+		wg.Wait()
+		c := tr.MetricsSnapshot().Counters
+		if c["combine.rounds"] <= 0 {
+			t.Errorf("k=%d: combine.rounds = %d under durability, want > 0", k, c["combine.rounds"])
+		}
+		if c["ebr.epoch"] <= 0 {
+			t.Errorf("k=%d: ebr.epoch = %d under durability, want > 0", k, c["ebr.epoch"])
+		}
+		e, d := tr.AdaptiveStats()
+		if c["adaptive.enables"] != e || c["adaptive.disables"] != d {
+			t.Errorf("k=%d: adaptive gauges = (%d, %d), AdaptiveStats = (%d, %d)",
+				k, c["adaptive.enables"], c["adaptive.disables"], e, d)
+		}
+		t.Logf("k=%d rounds=%d epoch=%d adaptive=(%d, %d)", k, c["combine.rounds"], c["ebr.epoch"], e, d)
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

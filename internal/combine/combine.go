@@ -53,6 +53,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/adapt"
 	"repro/internal/atomicx"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -503,4 +504,25 @@ func SortDedup(ops []Op) []Op {
 	s.t = t
 	sortPool.Put(s)
 	return out
+}
+
+// Sampler builds the adapt signal reader of an adaptive shard: the
+// combiner counters always ride along, while annLen and pending — the
+// direct-mode clustering signals — are read only when sampling in direct
+// mode (in combining mode the estimate comes from the counter deltas, and
+// the reads would perturb the rounds being measured; see
+// adapt.Controller).
+func Sampler(c *Combiner, annLen, pending func() int64) func(combining bool) adapt.Sample {
+	return func(combining bool) adapt.Sample {
+		cs := c.Counters()
+		s := adapt.Sample{
+			Rounds: cs.Rounds, Batched: cs.Batched,
+			Retracts: cs.Retracts, ElectFails: cs.ElectFails,
+		}
+		if !combining {
+			s.AnnLen = annLen()
+			s.Pending = pending()
+		}
+		return s
+	}
 }

@@ -8,9 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
-	"repro/internal/relaxed"
 )
 
 func TestSortDedupKeepsLastPerKey(t *testing.T) {
@@ -126,7 +124,15 @@ func TestCombinerStallHandoff(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := WrapCore(tr, true, 8)
+	c := New(8,
+		func(ops []Op) { tr.ApplyBatch(ops) },
+		func(op Op) {
+			if op.Del {
+				tr.Delete(op.Key)
+			} else {
+				tr.Insert(op.Key)
+			}
+		})
 	const goroutines, per = 8, 300
 	var wg sync.WaitGroup
 	finals := make([]map[int64]bool, goroutines)
@@ -139,12 +145,12 @@ func TestCombinerStallHandoff(t *testing.T) {
 			final := map[int64]bool{}
 			for i := 0; i < per; i++ {
 				k := lo + rng.Int63n(512)
-				if rng.Intn(2) == 0 {
-					s.Insert(k)
-					final[k] = true
-				} else {
-					s.Delete(k)
+				del := rng.Intn(2) == 0
+				c.Submit(Op{Key: k, Del: del})
+				if del {
 					delete(final, k)
+				} else {
+					final[k] = true
 				}
 			}
 			finals[id] = final
@@ -154,105 +160,13 @@ func TestCombinerStallHandoff(t *testing.T) {
 	for id, final := range finals {
 		lo := int64(id) * 512
 		for k := lo; k < lo+512; k++ {
-			if got := s.Search(k); got != final[k] {
+			if got := tr.Search(k); got != final[k] {
 				t.Fatalf("quiescent Search(%d) = %v, want %v", k, got, final[k])
 			}
 		}
 	}
 	if tr.AnnouncedUpdates() != 0 {
 		t.Fatalf("U-ALL holds %d cells at quiescence", tr.AnnouncedUpdates())
-	}
-}
-
-// TestCoreSetCombiningConformance runs mixed batched updates and reads
-// against a reference, per-goroutine-disjoint, with combining on.
-func TestCoreSetCombiningConformance(t *testing.T) {
-	tr, err := core.New(1 << 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := WrapCore(tr, true, 0)
-	if !s.Combining() {
-		t.Fatal("Combining() = false")
-	}
-	var wg sync.WaitGroup
-	const goroutines = 6
-	width := int64(1<<10) / goroutines
-	finals := make([]map[int64]bool, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id) * 13))
-			lo := int64(id) * width
-			final := map[int64]bool{}
-			for i := 0; i < 400; i++ {
-				k := lo + rng.Int63n(width)
-				switch rng.Intn(4) {
-				case 0, 1:
-					s.Insert(k)
-					final[k] = true
-				case 2:
-					s.Delete(k)
-					delete(final, k)
-				case 3:
-					if p := s.Predecessor(k); p >= k {
-						t.Errorf("Predecessor(%d) = %d", k, p)
-						return
-					}
-				}
-			}
-			finals[id] = final
-		}(g)
-	}
-	wg.Wait()
-	for id, final := range finals {
-		lo := int64(id) * width
-		for k := lo; k < lo+width; k++ {
-			if got := s.Search(k); got != final[k] {
-				t.Fatalf("quiescent Search(%d) = %v, want %v", k, got, final[k])
-			}
-		}
-	}
-	rounds, batched, _, _ := s.CombineStats()
-	t.Logf("rounds=%d batched=%d", rounds, batched)
-}
-
-func TestRelaxedSetCombining(t *testing.T) {
-	tr, err := relaxed.New(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := WrapRelaxed(tr, true, 0)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			lo := int64(id) * 64
-			for i := int64(0); i < 64; i++ {
-				s.Insert(lo + i)
-			}
-			for i := int64(0); i < 64; i += 2 {
-				s.Delete(lo + i)
-			}
-		}(g)
-	}
-	wg.Wait()
-	for k := int64(0); k < 256; k++ {
-		want := k%2 == 1
-		if got := s.Search(k); got != want {
-			t.Fatalf("Search(%d) = %v, want %v", k, got, want)
-		}
-	}
-	if got := s.Len(); got != 128 {
-		t.Fatalf("Len = %d, want 128", got)
-	}
-	if p, ok := s.Predecessor(100); !ok || p != 99 {
-		t.Fatalf("Predecessor(100) = %d,%v, want 99,true", p, ok)
-	}
-	if sc, ok := s.Successor(100); !ok || sc != 101 {
-		t.Fatalf("Successor(100) = %d,%v, want 101,true", sc, ok)
 	}
 }
 
@@ -286,61 +200,4 @@ func TestSubmitFullSlotsFallsBack(t *testing.T) {
 	for i := range c.slots {
 		c.slots[i].state.Store(slotEmpty)
 	}
-}
-
-// TestCoreSetAdaptiveMidFlip drives the unsharded adaptive wrapper (the
-// facade's k=1 path) while the mid-round hook force-flips its mode inside
-// every round's widest window — the disable-drain case on the CoreSet
-// route, complementing the sharded suite's per-shard version. Under -race.
-func TestCoreSetAdaptiveMidFlip(t *testing.T) {
-	tr, err := core.New(1 << 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := WrapCoreAdaptive(tr, adapt.Config{SampleEvery: 8, MinDwell: 1, StartCombining: true}, 8)
-	if !s.Adaptive() || s.Controller() == nil {
-		t.Fatal("adaptive wrapper not wired")
-	}
-	var flips atomic.Int64
-	SetTestHookMidRound(func() {
-		s.Controller().ForceMode(flips.Add(1)%3 != 0)
-	})
-	defer SetTestHookMidRound(nil)
-	const goroutines, per = 8, 300
-	var wg sync.WaitGroup
-	finals := make([]map[int64]bool, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(id) + 271))
-			lo := int64(id) * 512
-			final := map[int64]bool{}
-			for i := 0; i < per; i++ {
-				k := lo + rng.Int63n(512)
-				if rng.Intn(2) == 0 {
-					s.Insert(k)
-					final[k] = true
-				} else {
-					s.Delete(k)
-					delete(final, k)
-				}
-			}
-			finals[id] = final
-		}(g)
-	}
-	wg.Wait()
-	for id, final := range finals {
-		lo := int64(id) * 512
-		for k := lo; k < lo+512; k++ {
-			if got := s.Search(k); got != final[k] {
-				t.Fatalf("quiescent Search(%d) = %v, want %v", k, got, final[k])
-			}
-		}
-	}
-	if tr.AnnouncedUpdates() != 0 {
-		t.Fatalf("U-ALL holds %d cells at quiescence", tr.AnnouncedUpdates())
-	}
-	e, d := s.AdaptiveStats()
-	t.Logf("hook flips=%d organic enables=%d disables=%d", flips.Load(), e, d)
 }

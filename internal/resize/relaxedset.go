@@ -22,7 +22,6 @@ func NewRelaxedSet(initial int, factory func(k int) (*sharded.Relaxed, error), c
 	if err != nil {
 		return nil, err
 	}
-	r.carry = (*sharded.Relaxed).AdaptiveStats
 	return &RelaxedSet{r: r}, nil
 }
 
@@ -63,10 +62,6 @@ func (s *RelaxedSet) Len() int64 { return s.r.Len() }
 
 // Stats returns the resize counters.
 func (s *RelaxedSet) Stats() Stats { return s.r.Stats() }
-
-// AdaptiveStats sums adaptive-combining transitions across the live and
-// retired tables.
-func (s *RelaxedSet) AdaptiveStats() (enables, disables int64) { return s.r.AdaptiveStats() }
 
 // Decider returns the decision layer, or nil for manually driven sets.
 func (s *RelaxedSet) Decider() *Decider { return s.r.dec }

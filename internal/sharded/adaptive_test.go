@@ -187,47 +187,3 @@ func TestAdaptiveMidFlipStress(t *testing.T) {
 		})
 	}
 }
-
-// TestRelaxedAdaptiveQuiescent drives the relaxed adaptive variant, with
-// mid-round forced flips, to a known quiescent state.
-func TestRelaxedAdaptiveQuiescent(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		tr, err := sharded.NewRelaxedAdaptive(256, k, aggressiveCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !tr.Adaptive() {
-			t.Fatal("Adaptive() = false")
-		}
-		var flips atomic.Int64
-		combine.SetTestHookMidRound(func() {
-			n := flips.Add(1)
-			tr.RelaxedShardController(int(n) % k).ForceMode(n%2 == 0)
-		})
-		defer combine.SetTestHookMidRound(nil)
-		var wg sync.WaitGroup
-		for g := 0; g < 4; g++ {
-			wg.Add(1)
-			go func(id int) {
-				defer wg.Done()
-				lo := int64(id) * 64
-				for i := int64(0); i < 64; i++ {
-					tr.Insert(lo + i)
-				}
-				for i := int64(1); i < 64; i += 2 {
-					tr.Delete(lo + i)
-				}
-			}(g)
-		}
-		wg.Wait()
-		for x := int64(0); x < 256; x++ {
-			want := x%2 == 0
-			if got := tr.Search(x); got != want {
-				t.Fatalf("k=%d: Search(%d) = %v, want %v", k, x, got, want)
-			}
-		}
-		if got := tr.Len(); got != 128 {
-			t.Fatalf("k=%d: Len = %d, want 128", k, got)
-		}
-	}
-}

@@ -10,8 +10,8 @@ import (
 	"repro/internal/sharded"
 )
 
-// shardCounts is the matrix the whole suite runs against: unsharded (the
-// reference behaviour), lightly sharded, and heavily sharded relative to
+// shardCounts is the matrix the whole suite runs against: one shard (the
+// facade default, never stitching), lightly sharded, and heavily sharded relative to
 // the test universes (u=64 at k=16 leaves shards only 4 keys wide, so
 // cross-shard stitching dominates).
 var shardCounts = []int{1, 4, 16}

@@ -47,9 +47,6 @@ func TestNewWithOptionsPlacementRequiresCombining(t *testing.T) {
 	if _, err := NewWithOptions(256, 4, Options{Placement: []int{0, 1, 2, 3}}); err == nil {
 		t.Fatal("placement without combining was accepted")
 	}
-	if _, err := NewRelaxedWithOptions(256, 4, Options{Placement: []int{0, 1, 2, 3}}); err == nil {
-		t.Fatal("relaxed placement without combining was accepted")
-	}
 	// Adaptive implies combining, so placement composes with it.
 	if _, err := NewWithOptions(256, 4, Options{Adaptive: &adapt.Config{}, Placement: []int{0, 1, 2, 3}}); err != nil {
 		t.Fatalf("placement + adaptive rejected: %v", err)
@@ -60,8 +57,8 @@ func TestNewWithOptionsPlacementRejectsBadHint(t *testing.T) {
 	if _, err := NewWithOptions(256, 4, Options{Combining: true, Placement: []int{0, 1}}); err == nil {
 		t.Fatal("short hint survived construction")
 	}
-	if _, err := NewRelaxedWithOptions(256, 4, Options{Combining: true, Placement: []int{0, 9, 0, 0}}); err == nil {
-		t.Fatal("out-of-range hint survived relaxed construction")
+	if _, err := NewWithOptions(256, 4, Options{Combining: true, Placement: []int{0, 9, 0, 0}}); err == nil {
+		t.Fatal("out-of-range hint survived construction")
 	}
 }
 

@@ -22,7 +22,6 @@ import (
 	"repro/internal/combine"
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/resize"
 	"repro/internal/sharded"
 )
 
@@ -144,73 +143,23 @@ func newObsState(cfg *config) *obsState {
 	return o
 }
 
-// instrumentCore attaches the shared Stats structs and the event ring to
-// one core shard. Must run before the shard sees concurrent use (the
-// attach points are plain stores): New instruments tables while they are
-// still private, and the resize factory wrapper instruments each new
-// partition before the migration coordinator publishes it.
-func (o *obsState) instrumentCore(c *core.Trie, shard int32) {
-	c.SetStats(o.coreStats)
-	if o.bitsStats != nil {
-		c.Bits().SetStats(o.bitsStats)
-	}
-	c.Reclaimer().SetEvents(o.ring, shard)
-}
-
-// instrumentSharded wires every shard of one sharded table: core stats,
-// EBR trace, and — where the configuration built them — the per-shard
-// combiner and adaptive-controller traces.
+// instrumentSharded wires every shard of one sharded table while the
+// table is still private (the attach points are plain stores): the shared
+// core and descent Stats, the EBR trace, and — where the configuration
+// built them — the per-shard combiner and adaptive-controller traces.
 func (o *obsState) instrumentSharded(t *sharded.Trie) {
 	for i := 0; i < t.Shards(); i++ {
-		o.instrumentCore(t.Shard(i), int32(i))
-		if c := t.ShardCombiner(i); c != nil {
-			c.SetEvents(o.ring, int32(i))
+		c, shard := t.Shard(i), int32(i)
+		c.SetStats(o.coreStats)
+		if o.bitsStats != nil {
+			c.Bits().SetStats(o.bitsStats)
+		}
+		c.Reclaimer().SetEvents(o.ring, shard)
+		if cb := t.ShardCombiner(i); cb != nil {
+			cb.SetEvents(o.ring, shard)
 		}
 		if ctl := t.ShardController(i); ctl != nil {
-			ctl.SetEvents(o.ring, int32(i))
-		}
-	}
-}
-
-// eachCore visits the live table's core shards (the authoritative table
-// under WithAdaptiveShards — a concurrent migration may retire it right
-// after, which is fine for the weakly-consistent gauges this feeds).
-func (t *Trie) eachCore(fn func(*core.Trie)) {
-	switch s := t.set.(type) {
-	case *combine.CoreSet:
-		fn(s.Core())
-	case *sharded.Trie:
-		for i := 0; i < s.Shards(); i++ {
-			fn(s.Shard(i))
-		}
-	case *resize.Set:
-		tb := s.Table()
-		for i := 0; i < tb.Shards(); i++ {
-			fn(tb.Shard(i))
-		}
-	}
-}
-
-// eachCombiner visits the live table's combiners (none when combining is
-// off).
-func (t *Trie) eachCombiner(fn func(*combine.Combiner)) {
-	switch s := t.set.(type) {
-	case *combine.CoreSet:
-		if c := s.Combiner(); c != nil {
-			fn(c)
-		}
-	case *sharded.Trie:
-		for i := 0; i < s.Shards(); i++ {
-			if c := s.ShardCombiner(i); c != nil {
-				fn(c)
-			}
-		}
-	case *resize.Set:
-		tb := s.Table()
-		for i := 0; i < tb.Shards(); i++ {
-			if c := tb.ShardCombiner(i); c != nil {
-				fn(c)
-			}
+			ctl.SetEvents(o.ring, shard)
 		}
 	}
 }
@@ -223,7 +172,12 @@ func (t *Trie) eachCombiner(fn func(*combine.Combiner)) {
 // same weak-consistency contract as every other snapshot read.
 func (t *Trie) combineTotals() combine.Counters {
 	var tot combine.Counters
-	t.eachCombiner(func(c *combine.Combiner) {
+	tb := t.live()
+	for i := 0; i < tb.Shards(); i++ {
+		c := tb.ShardCombiner(i)
+		if c == nil {
+			continue
+		}
 		cs := c.Counters()
 		tot.Rounds += cs.Rounds
 		tot.Batched += cs.Batched
@@ -233,7 +187,7 @@ func (t *Trie) combineTotals() combine.Counters {
 		}
 		tot.Retracts += cs.Retracts
 		tot.ElectFails += cs.ElectFails
-	})
+	}
 	return tot
 }
 
@@ -268,7 +222,7 @@ func (t *Trie) registerObsGauges() {
 
 	// Combining layer (live table; see combineTotals for the resize
 	// caveat).
-	if t.combining {
+	if t.Combining() {
 		r.Gauge("combine.rounds", func() int64 { return t.combineTotals().Rounds })
 		r.Gauge("combine.batched", func() int64 { return t.combineTotals().Batched })
 		r.Gauge("combine.direct", func() int64 { return t.combineTotals().Direct })
@@ -276,7 +230,7 @@ func (t *Trie) registerObsGauges() {
 		r.Gauge("combine.retracts", func() int64 { return t.combineTotals().Retracts })
 		r.Gauge("combine.elect_fails", func() int64 { return t.combineTotals().ElectFails })
 	}
-	if t.adaptive {
+	if t.AdaptiveCombining() {
 		r.Gauge("adaptive.enables", func() int64 { e, _ := t.AdaptiveStats(); return e })
 		r.Gauge("adaptive.disables", func() int64 { _, d := t.AdaptiveStats(); return d })
 	}
@@ -294,11 +248,12 @@ func (t *Trie) registerObsGauges() {
 	// reclamation progress).
 	r.Gauge("ebr.epoch", func() int64 {
 		var max int64
-		t.eachCore(func(c *core.Trie) {
-			if e := int64(c.Reclaimer().Epoch()); e > max {
+		tb := t.live()
+		for i := 0; i < tb.Shards(); i++ {
+			if e := int64(tb.Shard(i).Reclaimer().Epoch()); e > max {
 				max = e
 			}
-		})
+		}
 		return max
 	})
 

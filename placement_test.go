@@ -45,11 +45,20 @@ func TestWithPlacementHintValidation(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			// The relaxed constructor shares the validation.
-			if _, err := lockfreetrie.NewRelaxed(1024, tc.opts...); err == nil {
-				t.Fatal("NewRelaxed accepted an invalid placement configuration")
-			}
 		})
+	}
+}
+
+// TestWithPlacementHintRelaxedRejected: NewRelaxed rejects even a valid
+// hint, naming the option — without a combining layer there are no
+// publication slots for a hint to shape.
+func TestWithPlacementHintRelaxedRejected(t *testing.T) {
+	for _, hint := range [][]int{{0}, {0, 1, 2, 3}} {
+		_, err := lockfreetrie.NewRelaxed(1024, lockfreetrie.WithShards(len(hint)),
+			lockfreetrie.WithPlacementHint(hint))
+		if err == nil || !strings.Contains(err.Error(), "WithPlacementHint") {
+			t.Fatalf("hint %v: NewRelaxed with WithPlacementHint: %v, want a rejection naming the option", hint, err)
+		}
 	}
 }
 
@@ -86,8 +95,8 @@ func TestWithPlacementHintAccessor(t *testing.T) {
 	}
 }
 
-// A placed k=1 trie routes through the sharded machinery but keeps the
-// facade contract: full insert/delete/predecessor behaviour.
+// A placed one-shard table keeps the facade contract: full
+// insert/delete/predecessor behaviour.
 func TestWithPlacementHintSingleShard(t *testing.T) {
 	tr, err := lockfreetrie.New(256, lockfreetrie.WithCombining(),
 		lockfreetrie.WithPlacementHint([]int{0}))

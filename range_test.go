@@ -8,8 +8,8 @@ import (
 	lockfreetrie "repro"
 )
 
-// shardCounts runs every range test against the unsharded trie and two
-// sharded geometries; with u=64 and k=16 the shards are 4 keys wide, so
+// shardCounts runs every range test against the default one-shard table
+// and two wider geometries; with u=64 and k=16 the shards are 4 keys wide, so
 // Range/Keys scans constantly cross shard boundaries.
 var shardCounts = []int{1, 4, 16}
 

@@ -3,14 +3,12 @@ package lockfreetrie
 import (
 	"fmt"
 
-	"repro/internal/combine"
-	"repro/internal/relaxed"
 	"repro/internal/resize"
 	"repro/internal/sharded"
 )
 
-// relaxedSet is the backend contract shared by the unsharded relaxed trie
-// and its sharded façade.
+// relaxedSet is the backend contract of the relaxed facade: a sharded
+// relaxed table, or its resizable wrapper under WithAdaptiveShards.
 type relaxedSet interface {
 	Search(x int64) bool
 	Insert(x int64)
@@ -19,6 +17,7 @@ type relaxedSet interface {
 	Successor(y int64) (int64, bool)
 	Len() int64
 	U() int64
+	Shards() int
 }
 
 // Relaxed is the paper's §4 wait-free relaxed binary trie: updates and
@@ -28,54 +27,26 @@ type relaxedSet interface {
 // than always-answering queries (e.g. real-time producers with a
 // best-effort scanner). The full Trie builds on it.
 type Relaxed struct {
-	set       relaxedSet
-	shards    int
-	adaptive  bool
-	placement []int              // WithPlacementHint copy; nil when unplaced
-	rz        *resize.RelaxedSet // non-nil under WithAdaptiveShards
-}
-
-// relaxedShardedFactory mirrors config.shardedFactory for the relaxed
-// backends.
-func relaxedShardedFactory(c *config, universe int64) func(k int) (*sharded.Relaxed, error) {
-	o := sharded.Options{Combining: c.combining}
-	if c.adaptive {
-		acfg := c.acfg
-		o.Adaptive = &acfg
-	}
-	if c.placementSet {
-		o.Placement = c.placement
-	}
-	base := func(k int) (*sharded.Relaxed, error) { return sharded.NewRelaxedWithOptions(universe, k, o) }
-	if !c.noCompress {
-		return base
-	}
-	return func(k int) (*sharded.Relaxed, error) {
-		t, err := base(k)
-		if err != nil {
-			return nil, err
-		}
-		for i := 0; i < t.Shards(); i++ {
-			t.Shard(i).Bits().SetCompressedDescents(false)
-		}
-		return t, nil
-	}
+	set relaxedSet
+	rz  *resize.RelaxedSet // non-nil under WithAdaptiveShards
 }
 
 // NewRelaxed returns an empty relaxed trie over {0,…,universe−1} (same
-// bounds as New). WithShards(k) partitions the universe across k
-// independent relaxed tries under the same §4.1 contract — answers exact
-// at quiescence, abstention only under interference — though under
-// concurrent updates the sharded scan returns definite-but-inexact
+// bounds as New). Like New, it always builds a sharded table: the default
+// is a one-shard table, and WithShards(k) partitions the universe across
+// k independent relaxed tries under the same §4.1 contract — answers
+// exact at quiescence, abstention only under interference — though under
+// concurrent updates the cross-shard scan returns definite-but-inexact
 // answers (a key present during the call that interference kept from
-// being the true predecessor) in some cases where the unsharded trie
-// would answer exactly or abstain. WithCombining routes updates through
-// per-shard combiners; the relaxed trie has no announcement lists to
-// amortize, so this trades the §4 per-op wait-freedom of batched updates
-// for the combiner handoff and is only worth it under extreme same-range
-// churn (see internal/combine.RelaxedSet). WithAdaptiveCombining makes
-// that call per shard at runtime from the in-flight update count, with
-// the same caveat.
+// being the true predecessor) in some cases where one shard would answer
+// exactly or abstain. WithAdaptiveShards and WithoutCompressedDescents
+// compose as with New; the observability options are accepted and
+// ignored.
+//
+// NewRelaxed rejects WithCombining, WithAdaptiveCombining and
+// WithPlacementHint: the relaxed trie has no announcement lists for a
+// batch to amortize, and a combiner handoff would give up its per-op
+// wait-freedom. It also rejects WithDurability.
 func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 	cfg := config{shards: 1}
 	for _, opt := range opts {
@@ -83,70 +54,56 @@ func NewRelaxed(universe int64, opts ...Option) (*Relaxed, error) {
 			return nil, err
 		}
 	}
-	if err := cfg.validatePlacement(); err != nil {
-		return nil, err
+	for _, bad := range []struct {
+		set  bool
+		name string
+	}{
+		{cfg.combining, "WithCombining"},
+		{cfg.adaptive, "WithAdaptiveCombining"},
+		{cfg.placementSet, "WithPlacementHint"},
+	} {
+		if bad.set {
+			return nil, fmt.Errorf("lockfreetrie: %s is incompatible with NewRelaxed (the relaxed trie has no announcement lists to amortize; combining would give up its per-op wait-freedom)", bad.name)
+		}
 	}
 	if cfg.dur != nil {
 		return nil, fmt.Errorf("lockfreetrie: WithDurability is incompatible with NewRelaxed (no batch entrypoint to seed recovery through)")
+	}
+	factory := func(k int) (*sharded.Relaxed, error) {
+		t, err := sharded.NewRelaxed(universe, k)
+		if err == nil && cfg.noCompress {
+			for i := 0; i < t.Shards(); i++ {
+				t.Shard(i).Bits().SetCompressedDescents(false)
+			}
+		}
+		return t, err
 	}
 	if cfg.adaptiveShards {
 		initial, err := cfg.resizeBounds()
 		if err != nil {
 			return nil, err
 		}
-		rz, err := resize.NewRelaxedSet(initial, relaxedShardedFactory(&cfg, universe),
+		rz, err := resize.NewRelaxedSet(initial, factory,
 			resize.Config{MinShards: cfg.minShards, MaxShards: cfg.maxShards})
 		if err != nil {
 			return nil, fmt.Errorf("lockfreetrie: %w", err)
 		}
-		return &Relaxed{set: rz, shards: initial, adaptive: cfg.adaptive, rz: rz}, nil
+		return &Relaxed{set: rz, rz: rz}, nil
 	}
-	// Placement always routes through the sharded factory, as in New.
-	if cfg.shards == 1 && !cfg.placementSet {
-		r, err := relaxed.New(universe)
-		if err != nil {
-			return nil, fmt.Errorf("lockfreetrie: %w", err)
-		}
-		if cfg.noCompress {
-			r.Bits().SetCompressedDescents(false)
-		}
-		var s relaxedSet
-		if cfg.adaptive {
-			s = combine.WrapRelaxedAdaptive(r, cfg.acfg, 0)
-		} else {
-			s = combine.WrapRelaxed(r, cfg.combining, 0)
-		}
-		return &Relaxed{set: s, shards: 1, adaptive: cfg.adaptive}, nil
-	}
-	st, err := relaxedShardedFactory(&cfg, universe)(cfg.shards)
+	st, err := factory(cfg.shards)
 	if err != nil {
 		return nil, fmt.Errorf("lockfreetrie: %w", err)
 	}
-	return &Relaxed{set: st, shards: cfg.shards, adaptive: cfg.adaptive,
-		placement: cfg.placement}, nil
-}
-
-// PlacementHint returns a copy of the WithPlacementHint owners slice, or
-// nil when the trie is unplaced.
-func (t *Relaxed) PlacementHint() []int {
-	if t.placement == nil {
-		return nil
-	}
-	return append([]int(nil), t.placement...)
+	return &Relaxed{set: st}, nil
 }
 
 // Universe returns the padded universe size.
 func (t *Relaxed) Universe() int64 { return t.set.U() }
 
-// Shards returns the current shard count: the configured value (1 for
-// the unsharded trie), or — under WithAdaptiveShards — the live count,
-// which a concurrent migration may change right after the read.
-func (t *Relaxed) Shards() int {
-	if t.rz != nil {
-		return t.rz.Shards()
-	}
-	return t.shards
-}
+// Shards returns the current shard count: the configured value (1 by
+// default), or — under WithAdaptiveShards — the live count, which a
+// concurrent migration may change right after the read.
+func (t *Relaxed) Shards() int { return t.set.Shards() }
 
 // AdaptiveShards reports whether WithAdaptiveShards was set.
 func (t *Relaxed) AdaptiveShards() bool { return t.rz != nil }
@@ -155,29 +112,16 @@ func (t *Relaxed) AdaptiveShards() bool { return t.rz != nil }
 // Trie.ResizeStats. Without WithAdaptiveShards it is a static snapshot.
 func (t *Relaxed) ResizeStats() ResizeStats {
 	if t.rz == nil {
-		return ResizeStats{Shards: t.shards}
+		return ResizeStats{Shards: t.set.Shards()}
 	}
 	s := t.rz.Stats()
 	return ResizeStats{Shards: s.Shards, Grows: s.Grows, Shrinks: s.Shrinks, Migrating: s.Migrating}
 }
 
-// AdaptiveCombining reports whether WithAdaptiveCombining was set.
-func (t *Relaxed) AdaptiveCombining() bool { return t.adaptive }
-
-// AdaptiveStats returns the cumulative mode-transition counts summed over
-// all shards, mirroring Trie.AdaptiveStats. Zeros unless
-// WithAdaptiveCombining was set.
-func (t *Relaxed) AdaptiveStats() (enables, disables int64) {
-	if a, ok := t.set.(adaptiveStats); ok {
-		return a.AdaptiveStats()
-	}
-	return 0, 0
-}
-
 // Len returns the number of keys currently in the set, under the same
 // weak-consistency contract as Trie.Len: exact at quiescence, off by at
-// most the number of in-flight updates under concurrency. O(1) unsharded,
-// O(shards) with WithShards.
+// most the number of in-flight updates under concurrency. O(shards): it
+// sums the per-shard occupancy counters.
 func (t *Relaxed) Len() int64 { return t.set.Len() }
 
 func (t *Relaxed) check(x int64) error {
@@ -216,8 +160,8 @@ func (t *Relaxed) Delete(x int64) error {
 // Predecessor returns the largest key smaller than y. ok=false means the
 // query abstained because concurrent updates on keys in (result, y)
 // interfered; when every key in that range is quiescent the answer is exact
-// (−1 for "no predecessor"). Wait-free, O(log u) worst-case steps (plus
-// O(shards) for the sharded variant).
+// (−1 for "no predecessor"). Wait-free, O(log u + shards) worst-case
+// steps.
 func (t *Relaxed) Predecessor(y int64) (pred int64, ok bool, err error) {
 	if err := t.check(y); err != nil {
 		return -1, false, err
@@ -228,8 +172,8 @@ func (t *Relaxed) Predecessor(y int64) (pred int64, ok bool, err error) {
 
 // Successor returns the smallest key greater than y, with the mirrored
 // abstention semantics of Predecessor (−1 means "no successor"). An
-// extension beyond the paper. Wait-free, O(log u) worst-case steps (plus
-// O(shards) for the sharded variant).
+// extension beyond the paper. Wait-free, O(log u + shards) worst-case
+// steps.
 func (t *Relaxed) Successor(y int64) (succ int64, ok bool, err error) {
 	if err := t.check(y); err != nil {
 		return -1, false, err

@@ -102,8 +102,10 @@ type Option func(*config) error
 // independent trie with its own announcement lists, plus a lock-free
 // occupancy summary that lets Predecessor, Floor, Max, Range and Keys skip
 // empty shards. k must be a power of two; the padded universe must leave
-// every shard at least two keys wide. k = 1 (the default) is the single
-// unsharded trie of the paper.
+// every shard at least two keys wide. k = 1 (the default) is a one-shard
+// table: the paper's single trie behind the table's occupancy counters,
+// with the table's stitching never taken. New and NewRelaxed build every
+// trie this way, so k = 1 is not a separate code path.
 //
 // Sharding trades the predecessor fast path for update scalability:
 // operations on different shards touch disjoint cache lines, while a
@@ -200,7 +202,9 @@ func WithoutCompressedDescents() Option {
 // combiner per round, and the drained batch is applied through the core
 // batch entrypoint — announcing once per batch on the shard's U-ALL/RU-ALL
 // instead of once per operation. Composes with WithShards (each shard gets
-// its own combiner; the default k = 1 gives one global combiner).
+// its own combiner; the default one-shard table has one global combiner).
+// NewRelaxed rejects it: the relaxed trie has no announcement lists to
+// amortize, and the handoff would give up its per-op wait-freedom.
 //
 // Trade-offs: queries and the explicit ApplyBatch are untouched, and the
 // underlying trie stays lock-free — an update the current combiner has not
@@ -278,7 +282,8 @@ type AdaptiveConfig struct {
 // static choices — WithCombining() or nothing — avoid the sampling tax
 // and the convergence transient. At most one AdaptiveConfig may be given;
 // none selects the tuned defaults. Overrides WithCombining when both are
-// set. Composes with WithShards exactly as WithCombining does.
+// set. Composes with WithShards exactly as WithCombining does; NewRelaxed
+// rejects it, as it does WithCombining.
 func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
 	return func(c *config) error {
 		if len(cfg) > 1 {
@@ -349,12 +354,13 @@ func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
 // the MP1 experiment records the trajectory in BENCH_multicore.json).
 //
 // owners must have exactly one entry per shard (the WithShards value; 1
-// by default) with group ids in [0, shards). The identity hint
-// (owners[i] = i) declares every shard privately owned. Requires
+// by default, the one-shard table) with group ids in [0, shards). The
+// identity hint (owners[i] = i) declares every shard privately owned. Requires
 // WithCombining or WithAdaptiveCombining — placement shapes publication
 // slots, and without a combining layer there are none — and is
 // incompatible with WithAdaptiveShards, whose migrations re-partition
-// the very key ranges a hint pins.
+// the very key ranges a hint pins. NewRelaxed rejects it: the relaxed trie
+// has no combining layer, so there are no publication slots to shape.
 func WithPlacementHint(owners []int) Option {
 	return func(c *config) error {
 		if len(owners) == 0 {
@@ -367,7 +373,7 @@ func WithPlacementHint(owners []int) Option {
 }
 
 // validatePlacement checks the placement hint against the rest of the
-// resolved configuration (shared by New and NewRelaxed).
+// resolved configuration (New; NewRelaxed rejects any hint).
 func (c *config) validatePlacement() error {
 	if !c.placementSet {
 		return nil
@@ -384,9 +390,11 @@ func (c *config) validatePlacement() error {
 	return nil
 }
 
-// set is the backend contract shared by the (wrapped) core trie and the
-// sharded façade; the exported API layers key validation and the composed
-// operations (Floor, Max, Range, Keys, Ceiling) on top of it.
+// set is the backend contract of the facade: the sharded table New built,
+// or its resizable wrapper under WithAdaptiveShards (either possibly
+// behind the write-ahead wrapper of WithDurability); the exported API
+// layers key validation and the composed operations (Floor, Max, Range,
+// Keys, Ceiling) on top of it.
 type set interface {
 	Search(x int64) bool
 	Insert(x int64)
@@ -398,24 +406,15 @@ type set interface {
 	U() int64
 }
 
-// adaptiveStats is the optional backend interface behind
-// Trie.AdaptiveStats.
-type adaptiveStats interface {
-	AdaptiveStats() (enables, disables int64)
-}
-
 // Trie is a lock-free linearizable binary trie. All methods are safe for
 // concurrent use by any number of goroutines. Create instances with New.
 type Trie struct {
-	set       set
-	shards    int
-	combining bool
-	adaptive  bool
-	placement []int       // WithPlacementHint copy; nil when unplaced
-	rz        *resize.Set // non-nil under WithAdaptiveShards
-	obs       *obsState   // nil under WithoutObservability
-	wal       *wal.Log    // non-nil under WithDurability
-	recovery  RecoveryStats
+	set      set
+	table    *sharded.Trie // the built table; nil under WithAdaptiveShards
+	rz       *resize.Set   // non-nil under WithAdaptiveShards
+	obs      *obsState     // nil under WithoutObservability
+	wal      *wal.Log      // non-nil under WithDurability
+	recovery RecoveryStats
 }
 
 // resizeBounds validates the WithAdaptiveShards bounds against the other
@@ -433,31 +432,30 @@ func (c *config) resizeBounds() (initial int, err error) {
 	return initial, nil
 }
 
-// shardedFactory builds the per-migration table constructor for the
-// resizable trie, carrying the combining/adaptive configuration into
-// every partition the trie migrates to.
-func (c *config) shardedFactory(universe int64) func(k int) (*sharded.Trie, error) {
-	o := sharded.Options{Combining: c.combining}
+// shardedFactory builds the table constructor behind every Trie: New
+// calls it once, and under WithAdaptiveShards the resize layer calls it
+// again for every partition it migrates to. Each table carries the
+// combining/adaptive/placement/descent configuration and, with
+// observability on, is instrumented while still private (the attach
+// points are plain stores).
+func (c *config) shardedFactory(universe int64, o *obsState) func(k int) (*sharded.Trie, error) {
+	opts := sharded.Options{Combining: c.combining, Placement: c.placement}
 	if c.adaptive {
 		acfg := c.acfg
-		o.Adaptive = &acfg
-	}
-	if c.placementSet {
-		o.Placement = c.placement
-	}
-	base := func(k int) (*sharded.Trie, error) { return sharded.NewWithOptions(universe, k, o) }
-	if !c.noCompress {
-		return base
+		opts.Adaptive = &acfg
 	}
 	return func(k int) (*sharded.Trie, error) {
-		t, err := base(k)
+		t, err := sharded.NewWithOptions(universe, k, opts)
 		if err != nil {
 			return nil, err
 		}
-		// The table is still private to the migration coordinator here, so
-		// the plain-field switch is safe.
-		for i := 0; i < t.Shards(); i++ {
-			t.Shard(i).Bits().SetCompressedDescents(false)
+		if c.noCompress {
+			for i := 0; i < t.Shards(); i++ {
+				t.Shard(i).Bits().SetCompressedDescents(false)
+			}
+		}
+		if o != nil {
+			o.instrumentSharded(t)
 		}
 		return t, nil
 	}
@@ -467,8 +465,11 @@ func (c *config) shardedFactory(universe int64) func(k int) (*sharded.Trie, erro
 // must be at least 2 and at most MaxUniverse; it is padded to the next
 // power of two (visible via Universe()). Memory is Θ(universe).
 //
-// With no options the trie is the paper's single lock-free binary trie;
-// WithShards(k) partitions the universe across k independent tries.
+// Every trie is a sharded table (internal/sharded). With no options it
+// has one shard — the paper's single lock-free binary trie behind the
+// table's occupancy counters; WithShards(k) partitions the universe
+// across k independent tries, and WithAdaptiveShards puts the table
+// behind the online resize layer.
 func New(universe int64, opts ...Option) (*Trie, error) {
 	cfg := config{shards: 1}
 	for _, opt := range opts {
@@ -482,46 +483,17 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 	if err := cfg.validateObservability(); err != nil {
 		return nil, err
 	}
-	// Observability is on by default; every path below instruments its
-	// tables while they are still private (plain-store attach points),
-	// then finish wires the gauges over the assembled backend.
+	// Observability is on by default.
 	var o *obsState
 	if !cfg.obsOff {
 		o = newObsState(&cfg)
 	}
-	finish := func(t *Trie) (*Trie, error) {
-		// Durability wraps the assembled backend before anything reads
-		// it: recovery seeds the unwrapped set (not re-logged), then the
-		// write-ahead wrapper interposes on every later update.
-		if cfg.dur != nil {
-			if err := t.attachDurability(cfg.dur); err != nil {
-				return nil, err
-			}
-		}
-		t.obs = o
-		if o != nil {
-			t.registerObsGauges()
-		}
-		return t, nil
-	}
+	factory := cfg.shardedFactory(universe, o)
+	t := &Trie{obs: o}
 	if cfg.adaptiveShards {
 		initial, err := cfg.resizeBounds()
 		if err != nil {
 			return nil, err
-		}
-		factory := cfg.shardedFactory(universe)
-		if o != nil {
-			// Each partition the trie migrates to is instrumented inside
-			// the factory, before the coordinator publishes it.
-			inner := factory
-			factory = func(k int) (*sharded.Trie, error) {
-				st, err := inner(k)
-				if err != nil {
-					return nil, err
-				}
-				o.instrumentSharded(st)
-				return st, nil
-			}
 		}
 		rz, err := resize.NewSet(initial, factory,
 			resize.Config{MinShards: cfg.minShards, MaxShards: cfg.maxShards})
@@ -531,77 +503,50 @@ func New(universe int64, opts ...Option) (*Trie, error) {
 		if o != nil {
 			rz.SetEvents(o.ring)
 		}
-		return finish(&Trie{set: rz, shards: initial,
-			combining: cfg.combining || cfg.adaptive, adaptive: cfg.adaptive, rz: rz})
-	}
-	// A placed k=1 trie still needs the sharded machinery (arena carve,
-	// sticky combiner), so placement always routes through the factory.
-	if cfg.shards == 1 && !cfg.placementSet {
-		c, err := core.New(universe)
+		t.set, t.rz = rz, rz
+	} else {
+		st, err := factory(cfg.shards)
 		if err != nil {
 			return nil, fmt.Errorf("lockfreetrie: %w", err)
 		}
-		if cfg.noCompress {
-			c.Bits().SetCompressedDescents(false)
-		}
-		var s set
-		if cfg.adaptive {
-			cs := combine.WrapCoreAdaptive(c, cfg.acfg, 0)
-			if o != nil {
-				cs.Combiner().SetEvents(o.ring, 0)
-				cs.Controller().SetEvents(o.ring, 0)
-			}
-			s = cs
-		} else {
-			cs := combine.WrapCore(c, cfg.combining, 0)
-			if o != nil && cs.Combiner() != nil {
-				cs.Combiner().SetEvents(o.ring, 0)
-			}
-			s = cs
-		}
-		if o != nil {
-			o.instrumentCore(c, 0)
-		}
-		return finish(&Trie{
-			set:       s,
-			shards:    1,
-			combining: cfg.combining || cfg.adaptive,
-			adaptive:  cfg.adaptive,
-		})
+		t.set, t.table = st, st
 	}
-	st, err := cfg.shardedFactory(universe)(cfg.shards)
-	if err != nil {
-		return nil, fmt.Errorf("lockfreetrie: %w", err)
+	// Durability wraps the assembled backend before anything reads it:
+	// recovery seeds the unwrapped set (not re-logged), then the
+	// write-ahead wrapper interposes on every later update.
+	if cfg.dur != nil {
+		if err := t.attachDurability(cfg.dur); err != nil {
+			return nil, err
+		}
 	}
 	if o != nil {
-		o.instrumentSharded(st)
+		t.registerObsGauges()
 	}
-	return finish(&Trie{set: st, shards: cfg.shards,
-		combining: cfg.combining || cfg.adaptive, adaptive: cfg.adaptive,
-		placement: cfg.placement})
+	return t, nil
+}
+
+// live returns the authoritative sharded table: the one New built, or
+// under WithAdaptiveShards the resize layer's current one, which a
+// concurrent migration may retire right after the read (a retired table
+// stays readable, which is all the accessors and gauges need).
+func (t *Trie) live() *sharded.Trie {
+	if t.rz != nil {
+		return t.rz.Table()
+	}
+	return t.table
 }
 
 // PlacementHint returns a copy of the WithPlacementHint owners slice, or
 // nil when the trie is unplaced.
-func (t *Trie) PlacementHint() []int {
-	if t.placement == nil {
-		return nil
-	}
-	return append([]int(nil), t.placement...)
-}
+func (t *Trie) PlacementHint() []int { return t.live().Placement() }
 
 // Universe returns the padded universe size 2^⌈log₂ u⌉.
 func (t *Trie) Universe() int64 { return t.set.U() }
 
-// Shards returns the current shard count: the configured value (1 for
-// the unsharded trie), or — under WithAdaptiveShards — the live count,
-// which a concurrent migration may change right after the read.
-func (t *Trie) Shards() int {
-	if t.rz != nil {
-		return t.rz.Shards()
-	}
-	return t.shards
-}
+// Shards returns the current shard count: the configured value (1 by
+// default), or — under WithAdaptiveShards — the live count, which a
+// concurrent migration may change right after the read.
+func (t *Trie) Shards() int { return t.live().Shards() }
 
 // AdaptiveShards reports whether WithAdaptiveShards was set.
 func (t *Trie) AdaptiveShards() bool { return t.rz != nil }
@@ -623,7 +568,7 @@ type ResizeStats struct {
 // count and zero migrations.
 func (t *Trie) ResizeStats() ResizeStats {
 	if t.rz == nil {
-		return ResizeStats{Shards: t.shards}
+		return ResizeStats{Shards: t.table.Shards()}
 	}
 	s := t.rz.Stats()
 	return ResizeStats{Shards: s.Shards, Grows: s.Grows, Shrinks: s.Shrinks, Migrating: s.Migrating}
@@ -631,31 +576,30 @@ func (t *Trie) ResizeStats() ResizeStats {
 
 // Combining reports whether the trie has a combining layer (WithCombining
 // or WithAdaptiveCombining).
-func (t *Trie) Combining() bool { return t.combining }
+func (t *Trie) Combining() bool { return t.live().Combining() }
 
 // AdaptiveCombining reports whether WithAdaptiveCombining was set.
-func (t *Trie) AdaptiveCombining() bool { return t.adaptive }
+func (t *Trie) AdaptiveCombining() bool { return t.live().Adaptive() }
 
 // AdaptiveStats returns the cumulative mode-transition counts summed over
 // all shards: enables (direct→combining flips) and disables (the
 // reverse). Zeros unless WithAdaptiveCombining was set.
 func (t *Trie) AdaptiveStats() (enables, disables int64) {
-	if a, ok := t.set.(adaptiveStats); ok {
-		return a.AdaptiveStats()
+	if t.rz != nil {
+		return t.rz.AdaptiveStats()
 	}
-	return 0, 0
+	return t.table.AdaptiveStats()
 }
 
-// Len returns the number of keys currently in the set. O(1) on the
-// unsharded trie, O(shards) with WithShards (it sums the per-shard
-// occupancy summary).
+// Len returns the number of keys currently in the set. O(shards): it sums
+// the per-shard occupancy summary.
 //
 // Consistency: Len is weakly consistent, like sync.Map's length-by-Range.
 // Each winning update bumps a counter adjacent to — not atomic with — its
 // linearization point, so a Len racing with updates may be off by the
-// number of in-flight operations (with WithShards it may also transiently
-// over-count, since a shard's insert increments before the core operation
-// and rolls back on a lost race). At any quiescent instant — no update in
+// number of in-flight operations (it may also transiently over-count,
+// since a shard's insert increments before the core operation and rolls
+// back on a lost race). At any quiescent instant — no update in
 // flight — Len is exactly |S|. Use Keys and count when an exact answer
 // under concurrency is needed, or the versioned snapshot trie for an
 // atomic view.
@@ -720,9 +664,9 @@ func (t *Trie) Delete(x int64) error {
 }
 
 // Predecessor returns the largest key in the set strictly smaller than y,
-// or −1 if there is none. Linearizable on the unsharded trie; with
-// WithShards, see that option's consistency note for the cross-shard
-// degraded case.
+// or −1 if there is none. Linearizable with one shard (the default, whose
+// owning shard answers every query); with more, see WithShards'
+// consistency note for the cross-shard degraded case.
 func (t *Trie) Predecessor(y int64) (int64, error) {
 	if err := t.check(y); err != nil {
 		return -1, err
