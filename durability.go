@@ -80,9 +80,10 @@ func WithSegmentBytes(n int64) DurabilityOption {
 	}
 }
 
-// WithSnapshotBytes triggers an asynchronous consistent snapshot each
-// time a stripe's log grows by n bytes (default wal.DefaultSnapshotBytes);
-// n < 0 disables auto-snapshots (Trie.SnapshotWAL still works).
+// WithSnapshotBytes triggers an asynchronous checkpoint (see
+// Trie.SnapshotWAL) each time a stripe's log grows by n bytes (default
+// wal.DefaultSnapshotBytes); n < 0 disables auto-snapshots
+// (Trie.SnapshotWAL still works).
 func WithSnapshotBytes(n int64) DurabilityOption {
 	return func(c *durConfig) error {
 		if n == 0 {
@@ -96,26 +97,29 @@ func WithSnapshotBytes(n int64) DurabilityOption {
 // WithDurability persists the set to dir: every update is appended to a
 // per-stripe write-ahead log (internal/wal) BEFORE it is applied, with
 // one batcher sweep group-committing as one log record, asynchronous
-// consistent snapshots bounding the log, and New recovering the set
-// from dir on construction (Trie.RecoveryStats reports what it found).
-// Call Trie.Close to flush and release the log; read the wal.* metrics
-// through MetricsSnapshot.
+// fuzzy checkpoints of the live trie bounding the log, and New
+// recovering the set from dir on construction (Trie.RecoveryStats
+// reports what it found). Call Trie.Close to flush and release the log;
+// read the wal.* metrics through MetricsSnapshot.
 //
 // Durability semantics: with the default WithSyncEvery(1), an update is
 // on disk before its call returns; weaker policies bound the loss
 // window by op count or time. The log records one valid linearization
 // of the acknowledged updates — ops racing on the same key through
-// different batches may be logged in either order, so recovery restores
-// a legal (not necessarily the observed) final state for keys that
-// were mid-race at the crash; see DESIGN.md §Durability.
+// different batches may be logged in one order and applied in the
+// other, so a key that was mid-race recovers either its live state at
+// the last checkpoint or its last logged op, a legal (not necessarily
+// the observed) final state; see DESIGN.md §Durability.
 //
 // A log I/O failure never blocks or fails trie operations: the first
-// error is sticky, later appends drop, wal.append.errors counts, and
-// Close returns it — the durability contract is broken from that
-// instant while the in-memory set remains fully usable.
+// error is sticky, later appends drop (their updates still apply),
+// checkpoints stop, wal.append.errors counts, and Close returns it —
+// the durability contract is broken from that instant while the
+// in-memory set remains fully usable.
 //
-// Incompatible with NewRelaxed (the relaxed trie's abstaining queries
-// have no batch entrypoint to seed through).
+// Incompatible with NewRelaxed (the relaxed trie has no batch
+// entrypoint for recovery to load through, and a checkpoint scan cannot
+// use its abstaining Predecessor).
 func WithDurability(dir string, opts ...DurabilityOption) Option {
 	return func(c *config) error {
 		if dir == "" {
@@ -132,28 +136,17 @@ func WithDurability(dir string, opts ...DurabilityOption) Option {
 	}
 }
 
-// durableSet interposes the write-ahead append between the facade and
-// the assembled backend: log first, then apply. Queries pass through
-// untouched — durability never gates readers.
+// durableSet routes updates through the write-ahead log, which appends
+// each one before applying it to the backend it was opened over.
+// Queries pass through untouched — durability never gates readers.
 type durableSet struct {
 	set
 	log *wal.Log
 }
 
-func (d *durableSet) Insert(x int64) {
-	d.log.Append(x, false)
-	d.set.Insert(x)
-}
-
-func (d *durableSet) Delete(x int64) {
-	d.log.Append(x, true)
-	d.set.Delete(x)
-}
-
-func (d *durableSet) ApplyBatch(ops []core.BatchOp) {
-	d.log.AppendBatch(ops)
-	d.set.ApplyBatch(ops)
-}
+func (d *durableSet) Insert(x int64)                { d.log.Insert(x) }
+func (d *durableSet) Delete(x int64)                { d.log.Delete(x) }
+func (d *durableSet) ApplyBatch(ops []core.BatchOp) { d.log.ApplyBatch(ops) }
 
 // RecoveryStats reports what WithDurability reconstructed at New.
 type RecoveryStats struct {
@@ -169,38 +162,16 @@ type RecoveryStats struct {
 	TornTail bool
 }
 
-// attachDurability opens (recovering) the log, seeds the still-private
-// backend with the recovered set, and wraps the backend so every
-// further update is logged before it applies. Runs at the New seam
-// shared by all construction paths, before the trie is published.
+// attachDurability opens (recovering) the log over the still-private
+// backend, which recovery seeds directly (not re-logged), and wraps the
+// backend so every further update goes through the log. Runs at the New
+// seam shared by all construction paths, before the trie is published.
 func (t *Trie) attachDurability(dc *durConfig) error {
-	log, rec, err := wal.Open(dc.dir, t.set.U(), dc.opts)
+	log, rec, err := wal.Open(dc.dir, t.set.U(), t.set, dc.opts)
 	if err != nil {
 		return fmt.Errorf("lockfreetrie: WithDurability: %w", err)
 	}
-	// Seed through the batch entrypoint in bounded ascending chunks —
-	// the recovery walk emits globally ascending unique keys, which is
-	// exactly the sharded/resize ApplyBatch contract. The backend is
-	// unwrapped here, so seeding is not re-logged.
-	const chunk = 1024
-	buf := make([]core.BatchOp, 0, chunk)
-	rec.ForEach(func(k int64) {
-		buf = append(buf, core.BatchOp{Key: k})
-		if len(buf) == chunk {
-			t.set.ApplyBatch(buf)
-			buf = buf[:0]
-		}
-	})
-	if len(buf) > 0 {
-		t.set.ApplyBatch(buf)
-	}
-	t.recovery = RecoveryStats{
-		Keys:            rec.Keys,
-		SnapshotKeys:    rec.SnapshotKeys,
-		ReplayedRecords: rec.ReplayedRecords,
-		ReplayedOps:     rec.ReplayedOps,
-		TornTail:        rec.TornTail,
-	}
+	t.recovery = RecoveryStats(*rec)
 	t.wal = log
 	t.set = &durableSet{set: t.set, log: log}
 	return nil
@@ -213,11 +184,15 @@ func (t *Trie) Durable() bool { return t.wal != nil }
 // (zero without it, or for a fresh directory).
 func (t *Trie) RecoveryStats() RecoveryStats { return t.recovery }
 
-// SnapshotWAL synchronously takes a consistent snapshot of every WAL
-// stripe and truncates the log segments it covers. Auto-snapshots
-// (WithSnapshotBytes) do the same in the background; the explicit call
-// exists for checkpoints at known-good moments (before shutdown, after
-// a bulk load). Errors without WithDurability.
+// SnapshotWAL synchronously checkpoints every WAL stripe and truncates
+// the log segments each checkpoint covers. A checkpoint is fuzzy: it
+// waits only for updates already logged to finish applying, then scans
+// the live trie with Predecessor while updates continue, and fsyncs
+// the log before writing the snapshot, so it never stalls writers for
+// the scan. Auto-snapshots (WithSnapshotBytes) do the same in the
+// background; the explicit call exists for checkpoints at known-good
+// moments (before shutdown, after a bulk load). Errors without
+// WithDurability, or once the log has failed.
 func (t *Trie) SnapshotWAL() error {
 	if t.wal == nil {
 		return fmt.Errorf("lockfreetrie: SnapshotWAL: trie has no durability (WithDurability)")

@@ -99,16 +99,19 @@ func (e Event) Time() time.Time { return time.Unix(0, e.UnixNanos) }
 // ringSlot is one seqlock-protected event cell. The payload is stored
 // word-by-word through atomics, so two writers lapping onto the same
 // slot — or a reader racing either — are data-race-free by construction;
-// the seq word then makes torn mixes DETECTABLE: a writer parks seq at 0
-// while it stores, and publishes ticket+1 when done, so a reader that
-// sees the same expected seq before and after its copy holds exactly the
-// ticket's payload.
+// the seq word makes torn mixes DETECTABLE: a writer claims the slot by
+// CASing seq to slotWriting, stores, and publishes ticket+1. A claim is
+// exclusive, so a reader that sees the same expected seq before and
+// after its copy holds exactly that ticket's payload.
 type ringSlot struct {
-	seq  atomic.Uint64 // 0 while a write is in flight; ticket+1 when published
+	seq  atomic.Uint64 // 0 unwritten, slotWriting while claimed, ticket+1 when published
 	meta atomic.Int64  // kind<<32 | uint32(shard)
 	time atomic.Int64
 	args [EventArgs]atomic.Int64
 }
+
+// slotWriting marks a claimed slot; it exceeds every ticket+1.
+const slotWriting = ^uint64(0)
 
 // Ring is a bounded lock-free multi-producer event buffer with overwrite
 // semantics: publishers never block and never fail — when the ring is
@@ -153,9 +156,9 @@ func (r *Ring) Cap() int {
 	return len(r.slots)
 }
 
-// Dropped returns the cumulative count of events lost to overwrite or to
-// a copy the drain could not certify (a write in flight during the
-// drain). Nil-safe.
+// Dropped returns the cumulative count of events lost to overwrite, to
+// a writer finding its slot held, or to a copy the drain could not
+// certify (a write in flight during the drain). Nil-safe.
 func (r *Ring) Dropped() int64 {
 	if r == nil {
 		return 0
@@ -173,11 +176,11 @@ func (r *Ring) Publish(kind Kind, shard int32, args ...int64) {
 	}
 	t := r.ticket.Add(1) - 1
 	s := &r.slots[t&r.mask]
-	// Seqlock write: park the slot (seq=0 marks a write in flight), store
-	// the payload word-by-word, publish ticket+1. A concurrent lapping
-	// writer interleaving here leaves seq at a value no reader expects
-	// for either ticket, so the torn payload is discarded, not surfaced.
-	s.seq.Store(0)
+	// Claim the slot. If another writer holds it, or a newer ticket has
+	// published there, abandon the event; the drain counts it dropped.
+	if cur := s.seq.Load(); cur > t || !s.seq.CompareAndSwap(cur, slotWriting) {
+		return
+	}
 	s.meta.Store(int64(kind)<<32 | int64(uint32(shard)))
 	s.time.Store(time.Now().UnixNano())
 	for i := 0; i < EventArgs; i++ {

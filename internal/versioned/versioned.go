@@ -132,10 +132,10 @@ type BatchOp struct {
 // in which every node on the union of the update paths is copied at
 // most once, where the op-at-a-time loop copies the shared prefix of
 // every path once PER OP. Installed with the same root CAS as
-// Insert/Delete, so the whole batch becomes visible atomically. The
-// consumer this exists for is the WAL mirror, whose group-committed
-// record runs arrive exactly in this shape and whose append-lock hold
-// time is dominated by the mirror's allocations.
+// Insert/Delete, so the whole batch becomes visible atomically. Nothing
+// in this module calls it; it is kept because the repository
+// benchmark's traced rung versioned.apply_ns_per_batch (e2ebench, a
+// module of its own) times it.
 func (t *Trie) ApplyBatch(ops []BatchOp) {
 	if len(ops) == 0 {
 		return
@@ -244,8 +244,8 @@ func deletePath(cur *node, x int64, level int) (*node, bool) {
 
 // Snapshot is an immutable point-in-time version of the trie: one root
 // pointer captured atomically. Every update path-copies its way to a new
-// root, so the captured version never changes — the WAL's consistent-
-// snapshot machinery walks it at leisure while updates continue.
+// root, so the captured version never changes — a reader can walk it at
+// leisure while updates continue.
 type Snapshot struct {
 	root *node
 	b    int

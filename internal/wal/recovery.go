@@ -20,7 +20,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/versioned"
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -61,11 +61,9 @@ func parseShardLSN(name, prefix, ext string) (shard int, lsn uint64, ok bool) {
 	return s, l, true
 }
 
-// Recovery reports what Open reconstructed. ForEach walks the
-// recovered membership in globally ascending key order — the shape the
-// sharded/resize batch entrypoints require for seeding.
+// Recovery reports what Open loaded into the backend.
 type Recovery struct {
-	// Keys is the recovered set's cardinality.
+	// Keys is the recovered set's cardinality (the backend's Len).
 	Keys int64
 	// SnapshotKeys counts keys loaded from snapshot files.
 	SnapshotKeys int64
@@ -76,25 +74,16 @@ type Recovery struct {
 	// TornTail reports whether a torn (partially written) final record
 	// was found and discarded.
 	TornTail bool
-
-	snaps []versioned.Snapshot // per shard, ascending key ranges
-}
-
-// ForEach emits every recovered key in ascending order.
-func (r *Recovery) ForEach(emit func(key int64)) {
-	for _, s := range r.snaps {
-		s.ForEach(emit)
-	}
 }
 
 // Open opens (creating if needed) the log in dir for a power-of-two
-// universe u, recovering existing state: per shard, the newest valid
-// snapshot file is loaded and the log records above its LSN are
-// replayed into the mirror. A torn final record — a crash mid-append —
-// is detected by CRC/length and discarded; corruption anywhere else is
-// an error, because silently skipping interior records would replay a
-// set that never existed.
-func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
+// universe u in front of the empty backend b, recovering existing state
+// into b: per shard, the newest valid snapshot file is loaded and the
+// log records above its LSN are replayed. A torn final record — a crash
+// mid-append — is detected by CRC/length and discarded; corruption
+// anywhere else is an error, because silently skipping interior records
+// would replay a set that never existed.
+func Open(dir string, u int64, b Backend, opt Options) (*Log, *Recovery, error) {
 	opt = opt.withDefaults()
 	if u < 2 || u&(u-1) != 0 {
 		return nil, nil, fmt.Errorf("wal: universe %d is not a power of two ≥ 2", u)
@@ -116,6 +105,7 @@ func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
 		dir:    dir,
 		dirf:   dirf,
 		u:      u,
+		b:      b,
 		opt:    opt,
 		shift:  shardShift(u, opt.Shards),
 		snapCh: make(chan struct{}, 1),
@@ -141,10 +131,8 @@ func Open(dir string, u int64, opt Options) (*Log, *Recovery, error) {
 			return nil, nil, err
 		}
 		l.shards[i] = s
-		snap := s.mirror.Snapshot()
-		rec.Keys += snap.Count()
-		rec.snaps = append(rec.snaps, snap)
 	}
+	rec.Keys = b.Len()
 	l.reg.Counter("wal.recovery.snapshot_keys").Add(0, rec.SnapshotKeys)
 	l.reg.Counter("wal.recovery.replayed_records").Add(0, rec.ReplayedRecords)
 	l.reg.Counter("wal.recovery.replayed_ops").Add(0, rec.ReplayedOps)
@@ -217,14 +205,10 @@ func atomicWrite(path string, data []byte, dirf *os.File) error {
 	return fsyncFile(dirf)
 }
 
-// openShard recovers one stripe: newest valid snapshot, then the log
-// tail, then a fresh segment for new appends.
+// openShard recovers one stripe into the backend: newest valid
+// snapshot, then the log tail, then a fresh segment for new appends.
 func (l *Log) openShard(id int, rec *Recovery) (*shardLog, error) {
-	mirror, err := versioned.New(l.u)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	s := &shardLog{id: id, mirror: mirror}
+	s := &shardLog{id: id}
 
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -248,19 +232,18 @@ func (l *Log) openShard(id int, rec *Recovery) (*shardLog, error) {
 	// falls back to the next older, whose covering segments are still
 	// on disk exactly because truncation follows snapshot durability.
 	for _, lsn := range snaps {
-		keys, err := loadSnapshot(snapshotPath(l.dir, id, lsn), l.u, id, lsn)
+		ops, err := loadSnapshot(snapshotPath(l.dir, id, lsn), l.u, id, lsn)
 		if err != nil {
 			continue
 		}
-		// Snapshot keys are stored ascending and unique — feed them to the
-		// mirror as one shared-path batch apply instead of per-key copies.
-		ops := make([]versioned.BatchOp, len(keys))
-		for i, k := range keys {
-			ops[i] = versioned.BatchOp{Key: k}
+		rec.SnapshotKeys += int64(len(ops))
+		// Stored ascending and unique: the backend's ApplyBatch shape.
+		for len(ops) > 0 {
+			n := min(len(ops), 1024)
+			l.b.ApplyBatch(ops[:n])
+			ops = ops[n:]
 		}
-		s.mirror.ApplyBatch(ops)
 		s.snapLSN = lsn
-		rec.SnapshotKeys += int64(len(keys))
 		break
 	}
 	s.lsn = s.snapLSN
@@ -309,13 +292,13 @@ func (l *Log) openShard(id int, rec *Recovery) (*shardLog, error) {
 }
 
 // replaySegment applies one segment's records above the snapshot LSN to
-// the mirror and returns the last valid LSN it holds plus the byte
-// length of its valid prefix. In the final segment a torn record —
-// short frame, bad CRC, malformed body — ends the replay (the crash
-// interrupted that append; nothing after it was acknowledged durable)
-// and the file is truncated to the valid prefix so future appends
-// continue a clean stream; anywhere else it is corruption and fails
-// Open.
+// the backend (one ApplyBatch per logged run) and returns the last valid
+// LSN it holds plus the byte length of its valid prefix. In the final
+// segment a torn record — short frame, bad CRC, malformed body — ends
+// the replay (the crash interrupted that append; nothing after it was
+// acknowledged durable) and the file is truncated to the valid prefix so
+// future appends continue a clean stream; anywhere else it is corruption
+// and fails Open.
 func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Recovery) (uint64, int64, error) {
 	f, err := os.OpenFile(seg.path, os.O_RDWR, 0o644)
 	if err != nil {
@@ -326,6 +309,7 @@ func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Rec
 	expect := seg.firstLSN
 	var off int64 // byte offset of the valid prefix
 	buf := make([]byte, 0, 4096)
+	var ops []core.BatchOp
 	torn := func(why error) (uint64, int64, error) {
 		if !lastSeg {
 			return 0, 0, fmt.Errorf("wal: shard %d: corrupt record (LSN %d) in non-final segment %s: %v",
@@ -364,22 +348,16 @@ func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Rec
 			return torn(fmt.Errorf("count %d vs %d payload bytes", count, len(p)))
 		}
 		body := p[recordHeaderBytes:]
-		apply := lsn > s.snapLSN // records at or below it are already in the snapshot
+		ops = ops[:0]
 		for i := 0; i < count; i++ {
 			key, del, err := wire.DecodeOp(body[i*wire.OpBytes:])
 			if err != nil {
 				return torn(err)
 			}
-			if !apply {
-				continue
-			}
-			if del {
-				s.mirror.Delete(key)
-			} else {
-				s.mirror.Insert(key)
-			}
+			ops = append(ops, core.BatchOp{Key: key, Del: del})
 		}
-		if apply {
+		if lsn > s.snapLSN { // records at or below it are already in the snapshot
+			l.b.ApplyBatch(ops)
 			rec.ReplayedRecords++
 			rec.ReplayedOps += int64(count)
 		}
@@ -389,9 +367,9 @@ func (l *Log) replaySegment(s *shardLog, seg segmentInfo, lastSeg bool, rec *Rec
 	}
 }
 
-// snapshot captures, writes and installs one shard snapshot, then
-// truncates the segments it covers. The capture is O(1) under the
-// append lock; the walk and write run outside it.
+// snapshot takes one fuzzy checkpoint of the stripe in the live backend
+// (package doc §Consistency) and truncates the segments it covers. Only
+// the slot flip runs under the append lock.
 func (s *shardLog) snapshot(l *Log) error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
@@ -402,8 +380,9 @@ func (s *shardLog) snapshot(l *Log) error {
 		s.mu.Unlock()
 		return nil
 	}
-	snap := s.mirror.Snapshot()
 	lsn := s.lsn
+	old := &s.inflight[s.slot]
+	s.slot ^= 1
 	// Rotate so every record ≤ lsn lives in a closed segment: after the
 	// snapshot is durable they can all be deleted.
 	if s.size > 0 || len(s.wbuf) > 0 {
@@ -411,10 +390,36 @@ func (s *shardLog) snapshot(l *Log) error {
 	}
 	s.sinceSnap = 0
 	s.mu.Unlock()
+	// Grace period: the old slot counts every append ≤ lsn whose apply
+	// may still be running. snapMu keeps the other slot drained until
+	// the next flip.
+	for old.Load() != 0 {
+		time.Sleep(10 * time.Microsecond)
+	}
 	l.hSnapCapNS.Record(int64(time.Since(t0)))
 
 	t1 := time.Now()
-	count := snap.Count()
+	lo := int64(s.id) << l.shift
+	hi := lo + 1<<l.shift - 1
+	var keys []int64 // descending
+	k := hi
+	if !l.b.Search(hi) {
+		k = l.b.Predecessor(hi)
+	}
+	for ; k >= lo; k = l.b.Predecessor(k) {
+		keys = append(keys, k)
+	}
+	// The scan may have seen records above lsn: make them durable before
+	// the snapshot replaces the log prefix. Forcing dirty also waits out
+	// (or redoes) another appender's fsync of them still in progress.
+	s.mu.Lock()
+	s.dirty = true
+	s.groupSyncUnlock(l)
+	if err := l.Err(); err != nil {
+		return fmt.Errorf("wal: shard %d snapshot: log failed: %w", s.id, err)
+	}
+
+	count := int64(len(keys))
 	buf := make([]byte, 0, 4+1+4+8+8+8+count*8+4)
 	buf = binary.BigEndian.AppendUint32(buf, snapMagic)
 	buf = append(buf, walVersion)
@@ -422,9 +427,9 @@ func (s *shardLog) snapshot(l *Log) error {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(l.u))
 	buf = binary.BigEndian.AppendUint64(buf, lsn)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(count))
-	snap.ForEach(func(key int64) {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(key))
-	})
+	for i := len(keys) - 1; i >= 0; i-- {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(keys[i]))
+	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	path := snapshotPath(l.dir, s.id, lsn)
 	if err := atomicWrite(path, buf, l.dirf); err != nil {
@@ -469,8 +474,8 @@ func (s *shardLog) snapshot(l *Log) error {
 }
 
 // loadSnapshot reads and validates one snapshot file, returning its
-// keys.
-func loadSnapshot(path string, u int64, id int, lsn uint64) ([]int64, error) {
+// keys as insert ops.
+func loadSnapshot(path string, u int64, id int, lsn uint64) ([]core.BatchOp, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
@@ -499,9 +504,9 @@ func loadSnapshot(path string, u int64, id int, lsn uint64) ([]int64, error) {
 	if uint64(len(body)-hdr) != count*8 {
 		return nil, fmt.Errorf("wal: snapshot %s: %d keys vs %d body bytes", path, count, len(body)-hdr)
 	}
-	keys := make([]int64, count)
-	for i := range keys {
-		keys[i] = int64(binary.BigEndian.Uint64(body[hdr+8*i:]))
+	ops := make([]core.BatchOp, count)
+	for i := range ops {
+		ops[i].Key = int64(binary.BigEndian.Uint64(body[hdr+8*i:]))
 	}
-	return keys, nil
+	return ops, nil
 }

@@ -1,5 +1,5 @@
 // Package wal is the trie's durability spine: a per-shard write-ahead
-// op log plus asynchronous consistent snapshots, built so that one
+// op log plus asynchronous fuzzy checkpoints, built so that one
 // batcher sweep is one group-committed log write and recovery is
 // snapshot + bounded log-tail replay.
 //
@@ -29,15 +29,13 @@
 //
 // # Consistency
 //
-// Each shard keeps a private mirror of its key range in an
-// internal/versioned path-copy trie, updated under the same lock that
-// orders record appends — so the mirror version at LSN L is EXACTLY the
-// membership after replaying records 1…L. A snapshot is an O(1) capture
-// of that mirror version at a chosen LSN boundary plus an unhurried
-// walk of the immutable structure; segments whose records are all ≤ the
-// snapshot LSN are deleted afterwards. Recovery loads the newest valid
-// snapshot and replays only records above its LSN, tolerating a torn
-// final record (see Open).
+// The log owns the write-ahead order: Insert, Delete and ApplyBatch
+// append the record, then apply the op to the live Backend, which is the
+// only copy of the set. A snapshot is a fuzzy checkpoint of it: wait
+// until every record ≤ the snapshot LSN is applied, scan the stripe with
+// Predecessor while appends continue, fsync, write; recovery replays
+// the records above that LSN over it (DESIGN.md §Durability), tolerating
+// a torn final record (see Open).
 package wal
 
 import (
@@ -52,7 +50,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
-	"repro/internal/versioned"
 	"repro/internal/wire"
 )
 
@@ -125,13 +122,27 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// Log is an open write-ahead log. Appends are safe for concurrent use;
-// each key's shard serializes under one mutex, which is exactly the
-// order its LSNs record.
+// Backend is the live set a Log makes durable; Open loads recovery into
+// it, so it must start empty. ApplyBatch takes keys sorted strictly
+// ascending, one op per key, and may rewrite them in place. Snapshots
+// scan with Predecessor, which must be linearizable per key.
+type Backend interface {
+	Insert(x int64)
+	Delete(x int64)
+	ApplyBatch(ops []core.BatchOp)
+	Search(x int64) bool
+	Predecessor(y int64) int64
+	Len() int64
+}
+
+// Log is an open write-ahead log in front of a Backend. Updates are
+// safe for concurrent use; each key's shard serializes its appends
+// under one mutex, which is exactly the order its LSNs record.
 type Log struct {
 	dir    string
 	dirf   *os.File // held open for directory-entry fsyncs
 	u      int64
+	b      Backend
 	opt    Options
 	shift  uint // key → shard
 	shards []*shardLog
@@ -165,7 +176,7 @@ type segmentInfo struct {
 	lastLSN  uint64
 }
 
-// shardLog is one stripe's stream: current segment, mirror, LSN clock.
+// shardLog is one stripe's stream: current segment, LSN clock, applies.
 type shardLog struct {
 	id int
 
@@ -176,13 +187,15 @@ type shardLog struct {
 	size       int64  // bytes written to the current segment file
 	firstLSN   uint64 // first LSN of the current segment
 	lsn        uint64 // last assigned LSN
-	mirror     *versioned.Trie
-	unsynced   int   // ops appended since the last fsync
-	dirty      bool  // bytes appended (or buffered) since the last fsync
-	sinceSnap  int64 // log bytes appended since the last snapshot capture
+	unsynced   int    // ops appended since the last fsync
+	dirty      bool   // bytes appended (or buffered) since the last fsync
+	sinceSnap  int64  // log bytes appended since the last snapshot capture
 	closedSegs []segmentInfo
-	enc        []byte              // record scratch buffer
-	mops       []versioned.BatchOp // mirror batch-apply scratch buffer
+	enc        []byte // record scratch buffer
+	slot       int    // the inflight slot appends increment (a snapshot flips it)
+
+	// inflight counts appends whose backend apply has not finished.
+	inflight [2]atomic.Int64
 
 	// flushSeq counts completed wbuf→file writes; a flush's bytes are in
 	// the file before its bump is visible, so a group-commit fsync that
@@ -202,14 +215,21 @@ type shardLog struct {
 	curF      *os.File // the open segment file; nil once closed
 	syncedSeq uint64   // highest flushSeq covered by a completed fsync
 
-	// snapMu single-flights snapshots for this shard (held across the
-	// slow walk+write, which runs OUTSIDE mu so appends continue).
+	// snapMu single-flights snapshots for this shard, so a slot flip
+	// always hands appends a drained slot (held across the drain wait,
+	// scan and write, which run OUTSIDE mu so appends continue).
 	snapMu  sync.Mutex
 	snapLSN uint64 // LSN covered by the newest durable snapshot
 }
 
 // fsyncFile is swapped out by tests that count or fail fsyncs.
 var fsyncFile = func(f *os.File) error { return f.Sync() }
+
+// testHookApply, when non-nil, runs between an update's append and apply.
+var testHookApply func()
+
+// SetTestHookApply sets that hook (nil clears it) with no update in flight.
+func SetTestHookApply(f func()) { testHookApply = f }
 
 // newRegistry wires the wal.* metric handles.
 func (l *Log) newRegistry() {
@@ -235,16 +255,11 @@ func (l *Log) newRegistry() {
 // snapshot.
 func (l *Log) Registry() *obs.Registry { return l.reg }
 
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Shards returns the stripe count.
-func (l *Log) Shards() int { return len(l.shards) }
-
 // Err returns the sticky first append-path failure, if any. The log
 // never blocks or panics the trie on an I/O error: it records the
-// error, counts wal.append.errors, and drops subsequent appends — the
-// durability contract is broken from that instant and Close reports it.
+// error, counts wal.append.errors, and drops later appends (their
+// updates still apply, snapshots refuse to run) — the durability
+// contract is broken from that instant and Close reports it.
 func (l *Log) Err() error {
 	if p := l.err.Load(); p != nil {
 		return *p
@@ -265,35 +280,56 @@ func (l *Log) setErr(err error) {
 // shardOf maps a key to its stripe.
 func (l *Log) shardOf(key int64) int { return int(uint64(key) >> l.shift) }
 
-// Append logs one op.
-func (l *Log) Append(key int64, del bool) {
-	op := [1]core.BatchOp{{Key: key, Del: del}}
-	l.AppendBatch(op[:])
+// Insert logs and applies one insert.
+func (l *Log) Insert(x int64) {
+	defer l.appendOne(x, false).Add(-1)
+	l.b.Insert(x)
 }
 
-// AppendBatch logs a batch. Consecutive ops of the same stripe form one
-// record (one group commit): a sorted batch — what the facade's
-// SortDedup hands the backend — lands in at most one record per stripe
-// touched. The batch must be appended BEFORE the trie applies it; the
-// facade's durable wrapper guarantees that ordering.
-func (l *Log) AppendBatch(ops []core.BatchOp) {
-	if len(ops) == 0 || l.err.Load() != nil {
-		return
-	}
+// Delete logs and applies one delete.
+func (l *Log) Delete(x int64) {
+	defer l.appendOne(x, true).Add(-1)
+	l.b.Delete(x)
+}
+
+func (l *Log) appendOne(x int64, del bool) *atomic.Int64 {
+	op := [1]core.BatchOp{{Key: x, Del: del}}
+	return l.shards[l.shardOf(x)].append(l, op[:])
+}
+
+// ApplyBatch logs and applies a batch in the Backend's ApplyBatch shape.
+// Consecutive ops of the same stripe form one record (one group
+// commit), appended before that run is applied: a sorted batch lands in
+// at most one record per stripe touched.
+func (l *Log) ApplyBatch(ops []core.BatchOp) {
 	for i := 0; i < len(ops); {
 		s := l.shardOf(ops[i].Key)
 		j := i + 1
 		for j < len(ops) && l.shardOf(ops[j].Key) == s {
 			j++
 		}
-		l.shards[s].append(l, ops[i:j])
+		done := l.shards[s].append(l, ops[i:j])
+		l.b.ApplyBatch(ops[i:j])
+		done.Add(-1)
 		i = j
 	}
 }
 
-// append logs one same-stripe run and applies the sync policy.
-func (s *shardLog) append(l *Log, run []core.BatchOp) {
+// append logs one same-stripe run and applies the sync policy. It
+// returns the in-flight counter the caller decrements once it has
+// applied the run. After a sticky error the run is not logged, but
+// still counts as in flight: the caller applies it regardless.
+func (s *shardLog) append(l *Log, run []core.BatchOp) *atomic.Int64 {
 	s.mu.Lock()
+	done := &s.inflight[s.slot]
+	done.Add(1)
+	if h := testHookApply; h != nil {
+		defer h()
+	}
+	if l.err.Load() != nil {
+		s.mu.Unlock()
+		return done
+	}
 	for len(run) > 0 {
 		n := len(run)
 		if n > maxRecordOps {
@@ -317,10 +353,11 @@ func (s *shardLog) append(l *Log, run []core.BatchOp) {
 		default: // a snapshot pass is already pending
 		}
 	}
+	return done
 }
 
-// appendRecord encodes one record, buffers its bytes and applies it to
-// the mirror. Caller holds mu.
+// appendRecord encodes one record and buffers its bytes. Caller holds
+// mu.
 func (s *shardLog) appendRecord(l *Log, run []core.BatchOp) {
 	s.lsn++
 	s.enc = s.enc[:0]
@@ -337,17 +374,6 @@ func (s *shardLog) appendRecord(l *Log, run []core.BatchOp) {
 	s.dirty = true
 	s.unsynced += len(run)
 	s.sinceSnap += int64(len(s.enc))
-	// The mirror mutates under mu, so its version at LSN L is exactly
-	// the membership after records 1…L — the snapshot consistency
-	// argument rests on this apply running before mu releases. The batch
-	// form path-copies the union of the run's paths once, not once per
-	// op: the run arrives sorted and deduplicated (the facade's
-	// SortDedup), which is exactly ApplyBatch's contract.
-	s.mops = s.mops[:0]
-	for _, op := range run {
-		s.mops = append(s.mops, versioned.BatchOp{Key: op.Key, Del: op.Del})
-	}
-	s.mirror.ApplyBatch(s.mops)
 	hint := int64(s.id)
 	l.cRecords.Inc(hint)
 	l.cOps.Add(hint, int64(len(run)))
@@ -472,16 +498,6 @@ func (s *shardLog) openSegmentLocked(l *Log, firstLSN uint64) error {
 	s.size = 0
 	s.firstLSN = firstLSN
 	return nil
-}
-
-// Sync flushes and fsyncs every dirty shard.
-func (l *Log) Sync() error {
-	for _, s := range l.shards {
-		s.mu.Lock()
-		s.syncLocked(l)
-		s.mu.Unlock()
-	}
-	return l.Err()
 }
 
 // run is the background loop: interval fsyncs and async snapshots.

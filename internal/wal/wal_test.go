@@ -4,22 +4,74 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/combine"
 	"repro/internal/core"
 )
 
-// collect drains a Recovery into a sorted key slice.
-func collect(rec *Recovery) []int64 {
+// memSet is a map-backed Backend. It fails the test on an ApplyBatch
+// whose keys are not strictly ascending, the Backend contract that
+// snapshot loading and logged runs must keep.
+type memSet struct {
+	t  *testing.T
+	mu sync.Mutex
+	m  map[int64]bool
+}
+
+func newMemSet(t *testing.T) *memSet { return &memSet{t: t, m: map[int64]bool{}} }
+
+func (b *memSet) Insert(x int64) { b.mu.Lock(); b.m[x] = true; b.mu.Unlock() }
+func (b *memSet) Delete(x int64) { b.mu.Lock(); delete(b.m, x); b.mu.Unlock() }
+
+func (b *memSet) ApplyBatch(ops []core.BatchOp) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, op := range ops {
+		if i > 0 && op.Key <= ops[i-1].Key {
+			b.t.Errorf("ApplyBatch keys not strictly ascending: %d after %d", op.Key, ops[i-1].Key)
+		}
+		if op.Del {
+			delete(b.m, op.Key)
+		} else {
+			b.m[op.Key] = true
+		}
+	}
+}
+
+func (b *memSet) Search(x int64) bool { b.mu.Lock(); defer b.mu.Unlock(); return b.m[x] }
+
+func (b *memSet) Predecessor(y int64) int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for k := y - 1; k >= 0; k-- {
+		if b.m[k] {
+			return k
+		}
+	}
+	return -1
+}
+
+func (b *memSet) Len() int64 { b.mu.Lock(); defer b.mu.Unlock(); return int64(len(b.m)) }
+
+// collect returns the backend's keys in ascending order.
+func collect(b *memSet) []int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	var out []int64
-	rec.ForEach(func(k int64) { out = append(out, k) })
+	for k := range b.m {
+		out = append(out, k)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-func wantKeys(t *testing.T, rec *Recovery, want ...int64) {
+func wantKeys(t *testing.T, rec *Recovery, b *memSet, want ...int64) {
 	t.Helper()
-	got := collect(rec)
+	got := collect(b)
 	if len(got) != len(want) {
 		t.Fatalf("recovered %v, want %v", got, want)
 	}
@@ -37,7 +89,7 @@ func wantKeys(t *testing.T, rec *Recovery, want ...int64) {
 // membership, in ascending order.
 func TestAppendReopen(t *testing.T) {
 	dir := t.TempDir()
-	l, rec, err := Open(dir, 1<<12, Options{})
+	l, rec, err := Open(dir, 1<<12, newMemSet(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,19 +111,22 @@ func TestAppendReopen(t *testing.T) {
 			} else {
 				model[k] = true
 			}
-			totalOps++
 		}
-		l.AppendBatch(batch)
+		// The Backend batch shape: sorted, last op per key kept.
+		run := combine.SortDedup(batch)
+		totalOps += len(run)
+		l.ApplyBatch(run)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec2, err := Open(dir, 1<<12, Options{})
+	b2 := newMemSet(t)
+	l2, rec2, err := Open(dir, 1<<12, b2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	got := collect(rec2)
+	got := collect(b2)
 	if len(got) != len(model) {
 		t.Fatalf("recovered %d keys, model has %d", len(got), len(model))
 	}
@@ -102,12 +157,12 @@ func TestTornTail(t *testing.T) {
 	keys := []int64{3, 1, 4, 15, 9}
 	build := func(t *testing.T) string {
 		dir := t.TempDir()
-		l, _, err := Open(dir, 1<<10, Options{})
+		l, _, err := Open(dir, 1<<10, newMemSet(t), Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, k := range keys {
-			l.Append(k, false)
+			l.Insert(k)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -133,7 +188,8 @@ func TestTornTail(t *testing.T) {
 		if err := os.Truncate(seg, cut); err != nil {
 			t.Fatal(err)
 		}
-		l, rec, err := Open(dir, 1<<10, Options{})
+		b := newMemSet(t)
+		l, rec, err := Open(dir, 1<<10, b, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
@@ -145,23 +201,24 @@ func TestTornTail(t *testing.T) {
 		if cut < size {
 			wantN--
 		}
-		if got := collect(rec); len(got) != wantN {
+		if got := collect(b); len(got) != wantN {
 			t.Fatalf("cut %d: recovered %v, want %d keys", cut, got, wantN)
 		}
 		// The log must keep a clean stream after the tear: append, close,
 		// reopen, and the new op is there with no new tear.
-		l.Append(777, false)
+		l.Insert(777)
 		if err := l.Close(); err != nil {
 			t.Fatalf("cut %d: close after tear: %v", cut, err)
 		}
-		l2, rec2, err := Open(dir, 1<<10, Options{})
+		b2 := newMemSet(t)
+		l2, rec2, err := Open(dir, 1<<10, b2, Options{})
 		if err != nil {
 			t.Fatalf("cut %d: reopen after tear: %v", cut, err)
 		}
 		if rec2.TornTail {
 			t.Fatalf("cut %d: tear did not heal", cut)
 		}
-		if got := collect(rec2); len(got) != wantN+1 || got[len(got)-1] != 777 {
+		if got := collect(b2); len(got) != wantN+1 || got[len(got)-1] != 777 {
 			t.Fatalf("cut %d: post-tear append lost: %v", cut, got)
 		}
 		l2.Close()
@@ -173,19 +230,19 @@ func TestTornTail(t *testing.T) {
 // the two.
 func TestSnapshotAndTruncate(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<12, Options{SnapshotBytes: -1})
+	l, _, err := Open(dir, 1<<12, newMemSet(t), Options{SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(0); k < 100; k++ {
-		l.Append(k, false)
+		l.Insert(k)
 	}
-	l.Append(50, true) // delete inside the snapshot's coverage
+	l.Delete(50) // delete inside the snapshot's coverage
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
 	for k := int64(200); k < 210; k++ {
-		l.Append(k, false)
+		l.Insert(k)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -194,7 +251,8 @@ func TestSnapshotAndTruncate(t *testing.T) {
 	if len(snaps) != 1 {
 		t.Fatalf("snapshot files %v, want 1", snaps)
 	}
-	l2, rec, err := Open(dir, 1<<12, Options{SnapshotBytes: -1})
+	b := newMemSet(t)
+	l2, rec, err := Open(dir, 1<<12, b, Options{SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +266,7 @@ func TestSnapshotAndTruncate(t *testing.T) {
 	if rec.Keys != 109 {
 		t.Fatalf("Keys = %d, want 109", rec.Keys)
 	}
-	got := collect(rec)
+	got := collect(b)
 	for _, k := range got {
 		if k == 50 {
 			t.Fatal("deleted key 50 resurrected")
@@ -219,12 +277,12 @@ func TestSnapshotAndTruncate(t *testing.T) {
 // TestSnapshotOnlyRecovery: recovery works with no log tail at all.
 func TestSnapshotOnlyRecovery(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<10, Options{})
+	l, _, err := Open(dir, 1<<10, newMemSet(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, k := range []int64{5, 6, 7} {
-		l.Append(k, false)
+		l.Insert(k)
 	}
 	if err := l.Snapshot(); err != nil {
 		t.Fatal(err)
@@ -232,11 +290,12 @@ func TestSnapshotOnlyRecovery(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, rec, err := Open(dir, 1<<10, Options{})
+	b := newMemSet(t)
+	_, rec, err := Open(dir, 1<<10, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantKeys(t, rec, 5, 6, 7)
+	wantKeys(t, rec, b, 5, 6, 7)
 	if rec.ReplayedOps != 0 || rec.SnapshotKeys != 3 {
 		t.Fatalf("rec = %+v, want pure snapshot recovery", rec)
 	}
@@ -246,13 +305,13 @@ func TestSnapshotOnlyRecovery(t *testing.T) {
 // multi-segment log replays completely.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<12, Options{SegmentBytes: 128, SnapshotBytes: -1})
+	l, _, err := Open(dir, 1<<12, newMemSet(t), Options{SegmentBytes: 128, SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var want []int64
 	for k := int64(0); k < 60; k++ {
-		l.Append(k, false)
+		l.Insert(k)
 		want = append(want, k)
 	}
 	if err := l.Close(); err != nil {
@@ -262,12 +321,13 @@ func TestSegmentRotation(t *testing.T) {
 	if len(segs) < 3 {
 		t.Fatalf("%d segments, want several (rotation)", len(segs))
 	}
-	l2, rec, err := Open(dir, 1<<12, Options{SegmentBytes: 128, SnapshotBytes: -1})
+	b := newMemSet(t)
+	l2, rec, err := Open(dir, 1<<12, b, Options{SegmentBytes: 128, SnapshotBytes: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	wantKeys(t, rec, want...)
+	wantKeys(t, rec, b, want...)
 }
 
 // TestShardedLog: keys route to stripes and recovery is globally
@@ -275,41 +335,42 @@ func TestSegmentRotation(t *testing.T) {
 func TestShardedLog(t *testing.T) {
 	dir := t.TempDir()
 	const u = 1 << 8
-	l, _, err := Open(dir, u, Options{Shards: 4})
+	l, _, err := Open(dir, u, newMemSet(t), Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	keys := []int64{250, 3, 130, 64, 65, 199, 0}
-	l.AppendBatch([]core.BatchOp{
+	l.ApplyBatch([]core.BatchOp{
 		{Key: 250}, {Key: 3}, {Key: 130}, {Key: 64}, {Key: 65}, {Key: 199}, {Key: 0},
 	})
 	_ = keys
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l2, rec, err := Open(dir, u, Options{Shards: 4})
+	b := newMemSet(t)
+	l2, rec, err := Open(dir, u, b, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	wantKeys(t, rec, 0, 3, 64, 65, 130, 199, 250)
+	wantKeys(t, rec, b, 0, 3, 64, 65, 130, 199, 250)
 }
 
 // TestMetaMismatch: reopening with different geometry fails loudly.
 func TestMetaMismatch(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<10, Options{Shards: 2})
+	l, _, err := Open(dir, 1<<10, newMemSet(t), Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	l.Close()
-	if _, _, err := Open(dir, 1<<11, Options{Shards: 2}); err == nil {
+	if _, _, err := Open(dir, 1<<11, newMemSet(t), Options{Shards: 2}); err == nil {
 		t.Fatal("universe change accepted")
 	}
-	if _, _, err := Open(dir, 1<<10, Options{Shards: 4}); err == nil {
+	if _, _, err := Open(dir, 1<<10, newMemSet(t), Options{Shards: 4}); err == nil {
 		t.Fatal("shard-count change accepted")
 	}
-	if l, _, err := Open(dir, 1<<10, Options{Shards: 2}); err != nil {
+	if l, _, err := Open(dir, 1<<10, newMemSet(t), Options{Shards: 2}); err != nil {
 		t.Fatalf("matching reopen: %v", err)
 	} else {
 		l.Close()
@@ -320,12 +381,12 @@ func TestMetaMismatch(t *testing.T) {
 // before the call returns.
 func TestSyncEveryFlushes(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<10, Options{SyncEvery: 1})
+	l, _, err := Open(dir, 1<<10, newMemSet(t), Options{SyncEvery: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Append(9, false)
+	l.Insert(9)
 	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
 	st, err := os.Stat(segs[0])
 	if err != nil {
@@ -343,12 +404,12 @@ func TestSyncEveryFlushes(t *testing.T) {
 // ticker, not per append.
 func TestSyncInterval(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<10, Options{SyncEvery: -1, SyncInterval: 5 * time.Millisecond})
+	l, _, err := Open(dir, 1<<10, newMemSet(t), Options{SyncEvery: -1, SyncInterval: 5 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Append(4, false)
+	l.Insert(4)
 	deadline := time.Now().Add(2 * time.Second)
 	for l.Registry().Counter("wal.fsyncs").Load() == 0 {
 		if time.Now().After(deadline) {
@@ -362,13 +423,13 @@ func TestSyncInterval(t *testing.T) {
 // snapshot without an explicit call.
 func TestAutoSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<12, Options{SnapshotBytes: 256})
+	l, _, err := Open(dir, 1<<12, newMemSet(t), Options{SnapshotBytes: 256})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer l.Close()
 	for k := int64(0); k < 64; k++ {
-		l.Append(k, false)
+		l.Insert(k)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for l.Registry().Counter("wal.snapshots").Load() == 0 {
@@ -383,14 +444,14 @@ func TestAutoSnapshot(t *testing.T) {
 // registry snapshot (the e2e crash smoke asserts on these).
 func TestRecoveryCountersExposed(t *testing.T) {
 	dir := t.TempDir()
-	l, _, err := Open(dir, 1<<10, Options{})
+	l, _, err := Open(dir, 1<<10, newMemSet(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(1, false)
-	l.Append(2, false)
+	l.Insert(1)
+	l.Insert(2)
 	l.Close()
-	l2, _, err := Open(dir, 1<<10, Options{})
+	l2, _, err := Open(dir, 1<<10, newMemSet(t), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,4 +460,66 @@ func TestRecoveryCountersExposed(t *testing.T) {
 	if snap.Counters["wal.recovery.replayed_ops"] != 2 {
 		t.Fatalf("wal.recovery.replayed_ops = %d, want 2", snap.Counters["wal.recovery.replayed_ops"])
 	}
+}
+
+// TestSnapshotUnderConcurrentUpdates: fuzzy checkpoints taken while
+// writers update the backend recover exactly the live set. Each key has
+// one writer, so its log order is its apply order.
+func TestSnapshotUnderConcurrentUpdates(t *testing.T) {
+	dir := t.TempDir()
+	const u, writers, perW = 1 << 10, 4, 2000
+	opt := Options{Shards: 2, SyncEvery: -1, SnapshotBytes: -1}
+	live := newMemSet(t)
+	l, _, err := Open(dir, u, live, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := int64(0); w < writers; w++ {
+		wg.Add(1)
+		go func(w int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(w))
+			for i := 0; i < perW; i++ {
+				k := w + writers*rng.Int63n(u/writers)
+				if rng.Intn(2) == 0 {
+					l.Insert(k)
+				} else {
+					l.Delete(k)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	snapped := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				snapped <- n
+				return
+			default:
+			}
+			if err := l.Snapshot(); err != nil {
+				t.Error(err)
+			}
+			n++
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if n := <-snapped; n == 0 {
+		t.Fatal("no snapshot ran during the updates")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b := newMemSet(t)
+	l2, rec, err := Open(dir, u, b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	wantKeys(t, rec, b, collect(live)...)
 }
