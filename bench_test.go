@@ -1,6 +1,8 @@
-// Benchmarks regenerating the experiment suite of EXPERIMENTS.md. The paper
-// has no empirical tables; each benchmark here measures one theorem-shaped
-// claim (C1–C7) or ablation (A1–A2) from DESIGN.md's experiment index.
+// Benchmarks for the experiment suite of DESIGN.md §Experiment index. The
+// paper has no empirical tables; each benchmark here measures one
+// theorem-shaped claim (C1–C7) or ablation (A1–A2) from that index, and is
+// the only measurement of those claims (cmd/triebench runs the trajectory
+// experiments that write BENCH_*.json).
 //
 // Run all:  go test -bench=. -benchmem
 // One row:  go test -bench=BenchmarkSearchVsUniverse -benchmem
@@ -57,7 +59,7 @@ func prefillEvery(s harness.Set, u, gap int64) {
 // --- C1: Search is O(1) — flat across universe sizes ------------------------
 
 func BenchmarkSearchVsUniverse(b *testing.B) {
-	for _, exp := range []uint{8, 12, 16, 20} {
+	for _, exp := range []uint{8, 12, 16, 20, 22} {
 		u := int64(1) << exp
 		b.Run(fmt.Sprintf("u=2^%d", exp), func(b *testing.B) {
 			tr := newCore(b, u)
@@ -332,7 +334,7 @@ func BenchmarkRelaxedBottomRate(b *testing.B) {
 
 func BenchmarkAuxSpaceVsContention(b *testing.B) {
 	const u = int64(1 << 12)
-	for _, workers := range []int{1, 4, 8} {
+	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			tr := newCore(b, u)
 			var maxU, maxP int64
@@ -454,7 +456,7 @@ func BenchmarkDeleteCASAttempts(b *testing.B) {
 
 func BenchmarkNotifyCostVsPredecessors(b *testing.B) {
 	const u = int64(1 << 12)
-	for _, parked := range []int{0, 2, 8} {
+	for _, parked := range []int{0, 2, 8, 16} {
 		b.Run(fmt.Sprintf("parked-preds=%d", parked), func(b *testing.B) {
 			tr := newCore(b, u)
 			stop := make(chan struct{})

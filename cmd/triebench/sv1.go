@@ -4,12 +4,9 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
-	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	lockfreetrie "repro"
@@ -18,17 +15,11 @@ import (
 	"repro/internal/workload"
 )
 
-// sv1Reps is the default repetition count (-sv1reps overrides); the
-// median of per-repetition ratios is reported, run order rotated per
-// repetition, for the same host-load-drift reasons as ad1/rs1.
-const sv1Reps = 3
-
 // sv1 fixed shape: enough connections to keep the batcher fed, the
-// server's default window, a half-full 2^16 universe.
+// server's default window, a half-full universe.
 const (
-	sv1Universe = int64(1 << 16)
-	sv1Conns    = 8
-	sv1Window   = 256
+	sv1Conns  = 8
+	sv1Window = 256
 )
 
 // sv1Side is one ingest mode's measurement: a closed-loop phase (each
@@ -41,9 +32,8 @@ const (
 // is 8× because the closed rate is a serial per-round-trip measure
 // while the pipelined servers complete several times that; the window
 // bound keeps an over-offered client from unbounded queueing either
-// way. Latency
-// quantiles come from the server's own update histogram over the
-// open-loop window, read through the interpolated obs Quantile — the
+// way. Latency quantiles come from the server's own update histogram over
+// the open-loop window, read through the interpolated obs Quantile — the
 // p999 is a quarter-octave estimate, not a ≤2× bound.
 type sv1Side struct {
 	ClosedOpsPerSec    float64 `json:"closed_ops_per_sec"`
@@ -62,203 +52,118 @@ type sv1ProcPoint struct {
 	Batched sv1Side `json:"batched"`
 	PerOp   sv1Side `json:"per_op"`
 	// Gates are medians of per-repetition back-to-back ratios
-	// batched/per-op (run order rotated per rep). The acceptance gate is
-	// the open-loop one ≥ 1.2 on the update-heavy mix: coalescing has to
-	// buy at least 20% capacity to earn its queueing delay.
+	// batched/per-op. The open-loop one is the acceptance gate: coalescing
+	// has to buy capacity to earn its queueing delay.
 	GateOpenBatchedVsPerOp   float64 `json:"gate_open_batched_vs_per_op"`
 	GateClosedBatchedVsPerOp float64 `json:"gate_closed_batched_vs_per_op"`
 }
 
-// sv1Report is the BENCH_sv1.json artifact. Top-level fields mirror the
-// first swept P (the compat row).
+// sv1Report is the BENCH_sv1.json artifact.
 type sv1Report struct {
-	Experiment string         `json:"experiment"`
-	Timestamp  string         `json:"timestamp"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Universe   int64          `json:"universe"`
-	Conns      int            `json:"conns"`
-	Window     int            `json:"window"`
-	ClosedOps  int            `json:"closed_ops"`
-	OpenDurMS  int64          `json:"open_duration_ms"`
-	Reps       int            `json:"reps_median_of"`
-	Mix        string         `json:"mix"`
-	Batched    sv1Side        `json:"batched"`
-	PerOp      sv1Side        `json:"per_op"`
-	Points     []sv1ProcPoint `json:"proc_points"`
-
-	GateOpenBatchedVsPerOp   float64 `json:"gate_open_batched_vs_per_op"`
-	GateClosedBatchedVsPerOp float64 `json:"gate_closed_batched_vs_per_op"`
+	reportHead
+	Universe                 int64          `json:"universe"`
+	Conns                    int            `json:"conns"`
+	Window                   int            `json:"window"`
+	ClosedOps                int            `json:"closed_ops"`
+	OpenDurMS                int64          `json:"open_duration_ms"`
+	Reps                     int            `json:"reps_median_of"`
+	Mix                      string         `json:"mix"`
+	Batched                  sv1Side        `json:"batched"`
+	PerOp                    sv1Side        `json:"per_op"`
+	Points                   []sv1ProcPoint `json:"proc_points"`
+	GateOpenBatchedVsPerOp   float64        `json:"gate_open_batched_vs_per_op"`
+	GateClosedBatchedVsPerOp float64        `json:"gate_closed_batched_vs_per_op"`
 }
 
-// expSV1: the server's request-coalescing claim, measured over real
+// sv1Exp: the server's request-coalescing claim, measured over real
 // sockets. Two identical servers — one batching updates into shared
-// ApplyBatch sweeps, one applying per-op on each connection's reader —
-// each driven closed-loop (throughput when clients wait) and open-loop
-// (Poisson arrivals past saturation: capacity and latency under load,
-// the regime Malek's methodology report argues closed loops cannot
-// measure). Update-heavy mix; both sides of a repetition run
-// back-to-back with rotated order, and the gate is the median of
-// per-rep ratios, like every other trajectory gate. Writes BENCH_sv1.json
-// unless -sv1json is empty.
-func expSV1(inv invocation) error {
-	reps, jsonPath, dur := inv.serverReps, inv.serverPath, inv.serverDur
-	if reps < 1 {
-		reps = 1
-	}
-	closedOps := inv.ops
-	if closedOps < 8000 {
-		closedOps = 8000
-	}
-	procs, err := inv.procs()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== SV1: batched vs per-op server ingest (update-heavy, %d conns, open-loop %v) ==\n",
-		sv1Conns, dur)
-	report := sv1Report{
-		Experiment: "sv1-server",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Universe:   sv1Universe,
-		Conns:      sv1Conns,
-		Window:     sv1Window,
-		ClosedOps:  closedOps,
-		OpenDurMS:  dur.Milliseconds(),
-		Reps:       reps,
-		Mix:        "update-heavy",
-	}
-	variants := []bool{true, false} // coalesce?
-	if err := perP(procs, func(p int) error {
-		pt := sv1ProcPoint{hostTopology: topologyAt(p)}
-		samples := map[bool][]sv1Side{}
-		var openRatios, closedRatios []float64
-		for rep := 0; rep < reps; rep++ {
-			repSides := map[bool]sv1Side{}
-			// Phase A: closed loop, both modes back-to-back (rotated).
-			for j := range variants {
-				coalesce := variants[(rep+j)%len(variants)]
-				closed, err := sv1Closed(coalesce, closedOps, inv.seed+int64(rep))
-				if err != nil {
-					return err
-				}
-				repSides[coalesce] = sv1Side{ClosedOpsPerSec: closed}
-			}
-			// Phase B: open loop at one shared offered rate — 8× the
-			// FASTER mode's closed rate, so both modes saturate under
-			// the same load.
-			rate := 8 * repSides[true].ClosedOpsPerSec
-			if r := 8 * repSides[false].ClosedOpsPerSec; r > rate {
-				rate = r
-			}
-			for j := range variants {
-				coalesce := variants[(rep+j)%len(variants)]
-				side, err := sv1Open(coalesce, rate, dur, inv.seed+int64(rep))
-				if err != nil {
-					return err
-				}
-				side.ClosedOpsPerSec = repSides[coalesce].ClosedOpsPerSec
-				repSides[coalesce] = side
-				samples[coalesce] = append(samples[coalesce], side)
-			}
-			if t := repSides[false].OpenAchievedPerSec; t > 0 {
-				openRatios = append(openRatios, repSides[true].OpenAchievedPerSec/t)
-			}
-			if t := repSides[false].ClosedOpsPerSec; t > 0 {
-				closedRatios = append(closedRatios, repSides[true].ClosedOpsPerSec/t)
-			}
+// ApplyBatch sweeps (variant 0), one applying per-op on each connection's
+// reader — each driven closed-loop (throughput when clients wait), then
+// open-loop (Poisson arrivals past saturation: capacity and latency under
+// load, the regime Malek's methodology report argues closed loops cannot
+// measure). Update-heavy mix; -ops is the closed-loop budget.
+var sv1Exp = &experiment[string, sv1Side, sv1ProcPoint]{
+	spec: spec{
+		id: "sv1", artifact: "BENCH_sv1.json", reps: 3,
+		// At least 1000 closed-loop updates per connection.
+		minOps: 8000,
+		gates:  []gate{{field: "gate_open_batched_vs_per_op", op: ">=", bound: 1.2}},
+	},
+	variants: []string{"batched", "per-op"},
+	// Pass 0 is the closed loop of both modes, pass 1 the open loop at the
+	// rate pass 0 calibrated.
+	passes:  2,
+	configs: []string{"update-heavy"},
+	measure: func(p params, _ string, t trial[sv1Side]) (sv1Side, error) {
+		coalesce := t.variant == 0
+		seed := p.seed + int64(t.rep)
+		if t.pass == 0 {
+			closed, err := sv1Closed(coalesce, p.ops, seed)
+			return sv1Side{ClosedOpsPerSec: closed}, err
 		}
-		medianSide := func(sides []sv1Side) sv1Side {
-			var cl, of, ac, p50, p99, p999, sw, mb []float64
-			for _, s := range sides {
-				cl = append(cl, s.ClosedOpsPerSec)
-				of = append(of, s.OpenOfferedPerSec)
-				ac = append(ac, s.OpenAchievedPerSec)
-				p50 = append(p50, float64(s.P50Ns))
-				p99 = append(p99, float64(s.P99Ns))
-				p999 = append(p999, float64(s.P999Ns))
-				sw = append(sw, float64(s.Sweeps))
-				mb = append(mb, s.MeanBatch)
-			}
-			return sv1Side{
-				ClosedOpsPerSec: median(cl), OpenOfferedPerSec: median(of), OpenAchievedPerSec: median(ac),
-				P50Ns: int64(median(p50)), P99Ns: int64(median(p99)), P999Ns: int64(median(p999)),
-				Sweeps: int64(median(sw)), MeanBatch: median(mb),
-			}
+		// One shared offered rate: 8× the FASTER mode's closed rate, so
+		// both modes saturate under the same load.
+		rate := 8 * max(t.cur[0].ClosedOpsPerSec, t.cur[1].ClosedOpsPerSec)
+		side, err := sv1Open(coalesce, rate, p.sv1dur, seed)
+		side.ClosedOpsPerSec = t.cur[t.variant].ClosedOpsPerSec
+		return side, err
+	},
+	point: func(_ params, topo hostTopology, cells []cell[string, sv1Side]) sv1ProcPoint {
+		c := cells[0]
+		pt := sv1ProcPoint{
+			hostTopology:             topo,
+			Batched:                  c.med(0),
+			PerOp:                    c.med(1),
+			GateOpenBatchedVsPerOp:   c.ratio(0, 1, func(s sv1Side) float64 { return s.OpenAchievedPerSec }),
+			GateClosedBatchedVsPerOp: c.ratio(0, 1, func(s sv1Side) float64 { return s.ClosedOpsPerSec }),
 		}
-		pt.Batched = medianSide(samples[true])
-		pt.PerOp = medianSide(samples[false])
-		pt.GateOpenBatchedVsPerOp = median(openRatios)
-		pt.GateClosedBatchedVsPerOp = median(closedRatios)
 		tab := harness.NewTable("ingest", "closed ops/s", "open achieved/s", "p50 µs", "p99 µs", "p999 µs", "mean batch")
-		for _, side := range []struct {
-			name string
-			s    sv1Side
-		}{{"batched", pt.Batched}, {"per-op", pt.PerOp}} {
-			tab.AddRow(side.name, side.s.ClosedOpsPerSec, side.s.OpenAchievedPerSec,
-				float64(side.s.P50Ns)/1e3, float64(side.s.P99Ns)/1e3, float64(side.s.P999Ns)/1e3,
-				side.s.MeanBatch)
+		for v, s := range []sv1Side{pt.Batched, pt.PerOp} {
+			tab.AddRow([]string{"batched", "per-op"}[v], s.ClosedOpsPerSec, s.OpenAchievedPerSec,
+				float64(s.P50Ns)/1e3, float64(s.P99Ns)/1e3, float64(s.P999Ns)/1e3, s.MeanBatch)
 		}
 		fmt.Println(tab)
 		fmt.Printf("batched vs per-op, open-loop capacity (median of per-rep ratios): %.3f\n", pt.GateOpenBatchedVsPerOp)
 		fmt.Printf("batched vs per-op, closed-loop throughput (median of per-rep ratios): %.3f\n\n", pt.GateClosedBatchedVsPerOp)
-		report.Points = append(report.Points, pt)
-		return nil
-	}); err != nil {
-		return err
-	}
-	report.GoMaxProcs = report.Points[0].GoMaxProcs
-	report.NumCPU = report.Points[0].NumCPU
-	report.Batched = report.Points[0].Batched
-	report.PerOp = report.Points[0].PerOp
-	report.GateOpenBatchedVsPerOp = report.Points[0].GateOpenBatchedVsPerOp
-	report.GateClosedBatchedVsPerOp = report.Points[0].GateClosedBatchedVsPerOp
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
-	return nil
+		return pt
+	},
+	header: func(p params) any {
+		fmt.Printf("== SV1: batched vs per-op server ingest (update-heavy, %d conns, open-loop %v) ==\n",
+			sv1Conns, p.sv1dur)
+		return &sv1Report{reportHead: reportHead{Experiment: "sv1-server"},
+			Universe: universe, Conns: sv1Conns, Window: sv1Window, ClosedOps: p.ops,
+			OpenDurMS: p.sv1dur.Milliseconds(), Reps: p.reps, Mix: "update-heavy"}
+	},
 }
 
-// sv1Session is one live server + client set: fresh half-full trie,
-// real TCP listener, sv1Conns dialed clients. close tears it down by a
+// sv1NewSession starts one live server + client set: fresh half-full trie,
+// real TCP listener, sv1Conns dialed clients. teardown closes it by a
 // graceful drain.
-type sv1Session struct {
-	srv     *server.Server
-	clients []*server.Client
-}
-
-func sv1NewSession(coalesce bool) (*sv1Session, func(), error) {
+func sv1NewSession(coalesce bool) (srv *server.Server, clients []*server.Client, teardown func(), err error) {
 	// Each phase builds (and abandons) a fully-populated trie; collect the
 	// previous phase's garbage NOW so a phase's GC debt is its own, not a
 	// tax on whichever phase happens to run after it — on small hosts that
 	// carryover is big enough to bias the back-to-back ratios.
 	runtime.GC()
-	tr, err := lockfreetrie.New(sv1Universe)
+	tr, err := lockfreetrie.New(universe)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	for k := int64(0); k < sv1Universe; k += 2 {
+	for k := int64(0); k < universe; k += 2 {
 		if err := tr.Insert(k); err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
 	}
-	srv := server.New(tr, server.Config{CoalesceUpdates: coalesce, Window: sv1Window})
+	srv = server.New(tr, server.Config{CoalesceUpdates: coalesce, Window: sv1Window})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
-	s := &sv1Session{srv: srv, clients: make([]*server.Client, sv1Conns)}
-	teardown := func() {
-		for _, c := range s.clients {
+	clients = make([]*server.Client, sv1Conns)
+	teardown = func() {
+		for _, c := range clients {
 			if c != nil {
 				c.Close()
 			}
@@ -268,22 +173,22 @@ func sv1NewSession(coalesce bool) (*sv1Session, func(), error) {
 		srv.Shutdown(ctx)
 		<-serveErr
 	}
-	for i := range s.clients {
+	for i := range clients {
 		c, err := server.Dial(ln.Addr().String())
 		if err != nil {
 			teardown()
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		s.clients[i] = c
+		clients[i] = c
 	}
-	return s, teardown, nil
+	return srv, clients, teardown, nil
 }
 
 // sv1Closed measures one mode's closed-loop throughput: each connection
 // issues its next update when the previous one returns — the system
 // sets its own pace.
 func sv1Closed(coalesce bool, closedOps int, seed int64) (float64, error) {
-	s, teardown, err := sv1NewSession(coalesce)
+	_, clients, teardown, err := sv1NewSession(coalesce)
 	if err != nil {
 		return 0, err
 	}
@@ -291,44 +196,31 @@ func sv1Closed(coalesce bool, closedOps int, seed int64) (float64, error) {
 	perWorker := closedOps / sv1Conns
 	streams := make([][]workload.Op, sv1Conns)
 	for w := range streams {
-		gen, err := workload.NewGenerator(workload.MixUpdateOnly, workload.Uniform{U: sv1Universe}, seed+int64(w))
+		gen, err := workload.NewGenerator(workload.MixUpdateOnly, workload.Uniform{U: universe}, seed+int64(w))
 		if err != nil {
 			return 0, err
 		}
 		streams[w] = gen.Fill(perWorker)
 	}
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	errCh := make(chan error, sv1Conns)
-	for w := 0; w < sv1Conns; w++ {
-		wg.Add(1)
-		go func(c *server.Client, ops []workload.Op) {
-			defer wg.Done()
-			<-start
-			for _, op := range ops {
-				var err error
-				if op.Kind == workload.OpInsert {
-					err = c.Insert(op.Key)
-				} else {
-					err = c.Delete(op.Key)
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
+	elapsed, err := barrier(sv1Conns, func(w int) error {
+		c := clients[w]
+		for _, op := range streams[w] {
+			var err error
+			if op.Kind == workload.OpInsert {
+				err = c.Insert(op.Key)
+			} else {
+				err = c.Delete(op.Key)
 			}
-		}(s.clients[w], streams[w])
-	}
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	closedElapsed := time.Since(t0)
-	select {
-	case err := <-errCh:
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
 		return 0, err
-	default:
 	}
-	return float64(perWorker*sv1Conns) / closedElapsed.Seconds(), nil
+	return float64(perWorker*sv1Conns) / elapsed.Seconds(), nil
 }
 
 // sv1Open measures one mode's open-loop capacity at the caller-fixed
@@ -337,27 +229,27 @@ func sv1Closed(coalesce bool, closedOps int, seed int64) (float64, error) {
 // histogram shows queueing, not idling.
 func sv1Open(coalesce bool, rate float64, dur time.Duration, seed int64) (sv1Side, error) {
 	var side sv1Side
-	s, teardown, err := sv1NewSession(coalesce)
+	srv, clients, teardown, err := sv1NewSession(coalesce)
 	if err != nil {
 		return side, err
 	}
 	defer teardown()
-	pre := s.srv.MetricsSnapshot()
+	pre := srv.MetricsSnapshot()
 	res, err := harness.RunOpenLoop(harness.OpenLoopConfig{
 		Workers:     sv1Conns,
 		Duration:    dur,
 		RatePerSec:  rate,
 		Mix:         workload.MixUpdateOnly,
-		Dist:        workload.Uniform{U: sv1Universe},
+		Dist:        workload.Uniform{U: universe},
 		Seed:        seed,
 		MaxInFlight: sv1Window,
 	}, func(worker int, op workload.Op, done func()) {
-		s.clients[worker].UpdateAsync(op.Kind == workload.OpInsert, op.Key, func(error) { done() })
+		clients[worker].UpdateAsync(op.Kind == workload.OpInsert, op.Key, func(error) { done() })
 	})
 	if err != nil {
 		return side, err
 	}
-	post := s.srv.MetricsSnapshot()
+	post := srv.MetricsSnapshot()
 	side.OpenOfferedPerSec = res.OfferedPerSec
 	side.OpenAchievedPerSec = res.AchievedPerSec
 	lat := post.Hists["server.latency.update_ns"].Delta(pre.Hists["server.latency.update_ns"])

@@ -3,11 +3,9 @@ package main
 // --- WL1: the write-ahead-log durability tax -----------------------------------
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 	"time"
 
 	lockfreetrie "repro"
@@ -15,43 +13,24 @@ import (
 	"repro/internal/workload"
 )
 
-// wl1Reps is the default repetition count (-wl1reps overrides); gates
-// are medians of per-repetition back-to-back ratios, run order rotated,
-// like every other trajectory experiment.
-const wl1Reps = 3
+// wl1Batch sizes batches to the server's sweep scale, so one ApplyBatch
+// is one group-committed WAL record run.
+const wl1Batch = 256
 
-// wl1 fixed shape: the sv1 universe, batches sized to the server's
-// sweep scale so one ApplyBatch is one group-committed WAL record run.
-const (
-	wl1Universe = int64(1 << 16)
-	wl1Batch    = 256
-)
+var wl1Names = []string{"nondurable", "buffered", "every4096", "every1024", "interval100ms"}
 
-// wl1Policy is one durability configuration under test. The nil-opts
-// first entry is the non-durable baseline every ratio divides by.
-type wl1Policy struct {
-	name    string
-	durable bool
-	opts    []lockfreetrie.DurabilityOption
-}
-
-// wl1Policies: the sync-policy ladder. "buffered" appends without ever
-// fsyncing inside a run (the OS flushes), the every-N rungs group-commit
-// at decreasing granularity, and interval100ms trades the count trigger
-// for a wall-clock one. every1 is deliberately absent: a synchronous
-// fsync per op measures the disk, not the log.
-func wl1Policies() []wl1Policy {
-	return []wl1Policy{
-		{name: "nondurable"},
-		{name: "buffered", durable: true,
-			opts: []lockfreetrie.DurabilityOption{lockfreetrie.WithSyncEvery(1 << 20)}},
-		{name: "every4096", durable: true,
-			opts: []lockfreetrie.DurabilityOption{lockfreetrie.WithSyncEvery(4096)}},
-		{name: "every1024", durable: true,
-			opts: []lockfreetrie.DurabilityOption{lockfreetrie.WithSyncEvery(1024)}},
-		{name: "interval100ms", durable: true,
-			opts: []lockfreetrie.DurabilityOption{lockfreetrie.WithSyncInterval(100 * time.Millisecond)}},
-	}
+// wl1Policies is the sync-policy ladder named by wl1Names; a nil entry
+// is the non-durable baseline every ratio divides by. "buffered" appends
+// without ever fsyncing inside a run (the OS flushes), the every-N rungs
+// group-commit at decreasing granularity, and interval100ms trades the
+// count trigger for a wall-clock one. every1 is deliberately absent: a
+// synchronous fsync per op measures the disk, not the log.
+var wl1Policies = [][]lockfreetrie.DurabilityOption{
+	nil,
+	{lockfreetrie.WithSyncEvery(1 << 20)},
+	{lockfreetrie.WithSyncEvery(4096)},
+	{lockfreetrie.WithSyncEvery(1024)},
+	{lockfreetrie.WithSyncInterval(100 * time.Millisecond)},
 }
 
 // wl1Side is one policy's measurement at one P.
@@ -74,159 +53,91 @@ type wl1ProcPoint struct {
 	hostTopology
 	Policies []wl1Side `json:"policies"`
 	// GateEvery1024VsNonDurable is the acceptance gate: group-committed
-	// durability at WithSyncEvery(1024) must keep ≥ 70% of the in-memory
+	// durability at WithSyncEvery(1024) must keep most of the in-memory
 	// batched update throughput, or the WAL is in the hot path rather
 	// than riding the sweeps.
 	GateEvery1024VsNonDurable float64 `json:"gate_every1024_vs_nondurable"`
 }
 
-// wl1Report is the BENCH_wal.json artifact. Top-level fields mirror the
-// first swept P (the compat row).
+// wl1Report is the BENCH_wal.json artifact.
 type wl1Report struct {
-	Experiment string         `json:"experiment"`
-	Timestamp  string         `json:"timestamp"`
-	GoMaxProcs int            `json:"gomaxprocs"`
-	NumCPU     int            `json:"num_cpu"`
-	Universe   int64          `json:"universe"`
-	Workers    int            `json:"workers"`
-	Batch      int            `json:"batch"`
-	Ops        int            `json:"ops"`
-	Reps       int            `json:"reps_median_of"`
-	Policies   []wl1Side      `json:"policies"`
-	Points     []wl1ProcPoint `json:"proc_points"`
-
-	GateEvery1024VsNonDurable float64 `json:"gate_every1024_vs_nondurable"`
+	reportHead
+	Universe                  int64          `json:"universe"`
+	Workers                   int            `json:"workers"`
+	Batch                     int            `json:"batch"`
+	Ops                       int            `json:"ops"`
+	Reps                      int            `json:"reps_median_of"`
+	Policies                  []wl1Side      `json:"policies"`
+	Points                    []wl1ProcPoint `json:"proc_points"`
+	GateEvery1024VsNonDurable float64        `json:"gate_every1024_vs_nondurable"`
 }
 
-// expWL1: what durability costs. The same closed-loop batched update
+// wl1Exp: what durability costs. The same closed-loop batched update
 // workload — workers applying sorted wl1Batch-sized ApplyBatch sweeps —
 // runs against an in-memory trie and against WithDurability under the
-// sync-policy ladder, each rep back-to-back with rotated order, each
-// durable run in a fresh directory. The interesting number is the
-// every1024 ratio: with the WAL riding the existing sweeps (one append
+// sync-policy ladder, each durable run in a fresh directory, every ratio
+// taken against the same rep's non-durable run. The interesting number is
+// the every1024 ratio: with the WAL riding the existing sweeps (one append
 // lock acquisition and one record run per sweep, fsync amortized over
 // 1024 ops) the tax should be bounded, which is exactly what the gate
-// pins. Writes BENCH_wal.json unless -waljson is empty.
-func expWL1(inv invocation) error {
-	reps, jsonPath := inv.walReps, inv.walPath
-	if reps < 1 {
-		reps = 1
-	}
-	ops := inv.ops
-	if ops < 20000 {
-		ops = 20000
-	}
-	workers := inv.workers
-	if workers < 1 {
-		workers = 1
-	}
-	procs, err := inv.procs()
-	if err != nil {
-		return err
-	}
-	fmt.Printf("== WL1: WAL durability tax (batched updates, %d workers, %d ops, median of %d) ==\n",
-		workers, ops, reps)
-	report := wl1Report{
-		Experiment: "wl1-wal",
-		Timestamp:  time.Now().UTC().Format(time.RFC3339),
-		Universe:   wl1Universe,
-		Workers:    workers,
-		Batch:      wl1Batch,
-		Ops:        ops,
-		Reps:       reps,
-	}
-	policies := wl1Policies()
-	if err := perP(procs, func(p int) error {
-		pt := wl1ProcPoint{hostTopology: topologyAt(p)}
-		samples := map[string][]wl1Side{}
-		ratios := map[string][]float64{}
-		for rep := 0; rep < reps; rep++ {
-			repSides := map[string]wl1Side{}
-			for j := range policies {
-				pol := policies[(rep+j)%len(policies)]
-				side, err := wl1Measure(pol, ops, workers, inv.seed+int64(rep))
-				if err != nil {
-					return fmt.Errorf("%s: %w", pol.name, err)
-				}
-				repSides[pol.name] = side
-				samples[pol.name] = append(samples[pol.name], side)
-			}
-			base := repSides["nondurable"].OpsPerSec
-			if base > 0 {
-				for _, pol := range policies {
-					ratios[pol.name] = append(ratios[pol.name], repSides[pol.name].OpsPerSec/base)
-				}
-			}
-		}
+// pins.
+var wl1Exp = &experiment[string, wl1Side, wl1ProcPoint]{
+	spec: spec{
+		id: "wl1", artifact: "BENCH_wal.json", reps: 3,
+		minOps: 20000, minWorkers: 1,
+		gates: []gate{{field: "gate_every1024_vs_nondurable", op: ">=", bound: 0.7}},
+	},
+	variants: wl1Names,
+	configs:  []string{"batched-update-only"},
+	measure: func(p params, _ string, t trial[wl1Side]) (wl1Side, error) {
+		side, err := wl1Measure(wl1Policies[t.variant], p.ops, p.workers, p.seed+int64(t.rep))
+		side.Name = wl1Names[t.variant]
+		return side, err
+	},
+	point: func(_ params, topo hostTopology, cells []cell[string, wl1Side]) wl1ProcPoint {
+		c := cells[0]
+		pt := wl1ProcPoint{hostTopology: topo}
 		tab := harness.NewTable("policy", "ops/s", "vs nondurable", "fsyncs", "wal MiB", "ops/record")
-		for _, pol := range policies {
-			var ps, fs, wb, opr []float64
-			for _, s := range samples[pol.name] {
-				ps = append(ps, s.OpsPerSec)
-				fs = append(fs, float64(s.Fsyncs))
-				wb = append(wb, float64(s.WalBytes))
-				opr = append(opr, s.OpsPerRecord)
-			}
-			side := wl1Side{
-				Name:              pol.name,
-				OpsPerSec:         median(ps),
-				RatioVsNonDurable: median(ratios[pol.name]),
-				Fsyncs:            int64(median(fs)),
-				WalBytes:          int64(median(wb)),
-				OpsPerRecord:      median(opr),
-			}
+		for v := range c.s {
+			side := c.med(v)
+			side.RatioVsNonDurable = c.ratio(v, 0, func(s wl1Side) float64 { return s.OpsPerSec })
 			pt.Policies = append(pt.Policies, side)
-			if pol.name == "every1024" {
+			if side.Name == "every1024" {
 				pt.GateEvery1024VsNonDurable = side.RatioVsNonDurable
 			}
 			tab.AddRow(side.Name, side.OpsPerSec, side.RatioVsNonDurable,
 				float64(side.Fsyncs), float64(side.WalBytes)/float64(1<<20), side.OpsPerRecord)
 		}
 		fmt.Println(tab)
-		fmt.Printf("every1024 vs nondurable (median of per-rep ratios): %.3f\n\n",
-			pt.GateEvery1024VsNonDurable)
-		report.Points = append(report.Points, pt)
-		return nil
-	}); err != nil {
-		return err
-	}
-	report.GoMaxProcs = report.Points[0].GoMaxProcs
-	report.NumCPU = report.Points[0].NumCPU
-	report.Policies = report.Points[0].Policies
-	report.GateEvery1024VsNonDurable = report.Points[0].GateEvery1024VsNonDurable
-	if jsonPath == "" {
-		return nil
-	}
-	buf, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(jsonPath, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s\n\n", jsonPath)
-	return nil
+		return pt
+	},
+	header: func(p params) any {
+		fmt.Printf("== WL1: WAL durability tax (batched updates, %d workers, %d ops, median of %d) ==\n",
+			p.workers, p.ops, p.reps)
+		return &wl1Report{reportHead: reportHead{Experiment: "wl1-wal"},
+			Universe: universe, Workers: p.workers, Batch: wl1Batch, Ops: p.ops, Reps: p.reps}
+	},
 }
 
 // wl1Measure runs the batched update workload against one policy's
 // trie, returning ops/sec and the run's WAL counters. Durable runs get
 // a fresh directory, removed afterward — each measurement logs from a
 // cold, empty WAL.
-func wl1Measure(pol wl1Policy, ops, workers int, seed int64) (wl1Side, error) {
-	side := wl1Side{Name: pol.name}
+func wl1Measure(durability []lockfreetrie.DurabilityOption, ops, workers int, seed int64) (wl1Side, error) {
+	var side wl1Side
 	// The previous policy's abandoned trie (and WAL buffers) are its own
 	// GC debt, not a tax on this measurement.
 	runtime.GC()
 	var opts []lockfreetrie.Option
-	if pol.durable {
+	if durability != nil {
 		dir, err := os.MkdirTemp("", "triebench-wl1-")
 		if err != nil {
 			return side, err
 		}
 		defer os.RemoveAll(dir)
-		opts = append(opts, lockfreetrie.WithDurability(dir, pol.opts...))
+		opts = append(opts, lockfreetrie.WithDurability(dir, durability...))
 	}
-	tr, err := lockfreetrie.New(wl1Universe, opts...)
+	tr, err := lockfreetrie.New(universe, opts...)
 	if err != nil {
 		return side, err
 	}
@@ -234,16 +145,13 @@ func wl1Measure(pol wl1Policy, ops, workers int, seed int64) (wl1Side, error) {
 	perWorker := ops / workers
 	batches := make([][][]lockfreetrie.Op, workers)
 	for w := range batches {
-		gen, err := workload.NewGenerator(workload.MixUpdateOnly, workload.Uniform{U: wl1Universe}, seed+int64(w))
+		gen, err := workload.NewGenerator(workload.MixUpdateOnly, workload.Uniform{U: universe}, seed+int64(w))
 		if err != nil {
 			return side, err
 		}
 		stream := gen.Fill(perWorker)
 		for off := 0; off < len(stream); off += wl1Batch {
-			end := off + wl1Batch
-			if end > len(stream) {
-				end = len(stream)
-			}
+			end := min(off+wl1Batch, len(stream))
 			batch := make([]lockfreetrie.Op, 0, end-off)
 			for _, op := range stream[off:end] {
 				kind := lockfreetrie.OpInsert
@@ -255,37 +163,21 @@ func wl1Measure(pol wl1Policy, ops, workers int, seed int64) (wl1Side, error) {
 			batches[w] = append(batches[w], batch)
 		}
 	}
-	start := make(chan struct{})
-	errCh := make(chan error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(bs [][]lockfreetrie.Op) {
-			defer wg.Done()
-			<-start
-			for _, b := range bs {
-				if errs := tr.ApplyBatch(b); errs != nil {
-					for _, e := range errs {
-						if e != nil {
-							errCh <- e
-							return
-						}
-					}
+	elapsed, err := barrier(workers, func(w int) error {
+		for _, b := range batches[w] {
+			for _, e := range tr.ApplyBatch(b) {
+				if e != nil {
+					return e
 				}
 			}
-		}(batches[w])
-	}
-	t0 := time.Now()
-	close(start)
-	wg.Wait()
-	elapsed := time.Since(t0)
-	select {
-	case err := <-errCh:
+		}
+		return nil
+	})
+	if err != nil {
 		return side, err
-	default:
 	}
 	side.OpsPerSec = float64(perWorker*workers) / elapsed.Seconds()
-	if pol.durable {
+	if durability != nil {
 		snap := tr.MetricsSnapshot()
 		side.Fsyncs = snap.Counters["wal.fsyncs"]
 		side.WalBytes = snap.Counters["wal.append.bytes"]

@@ -37,10 +37,10 @@ type Oracle interface {
 }
 
 // Stats carries optional step counters for the complexity experiments
-// (EXPERIMENTS.md C3, A1). All fields are atomic and padded to distinct
-// cache lines (see atomicx.PadInt64: unpadded neighbours would false-share
-// under the very contention the experiments measure); a nil *Stats disables
-// collection.
+// (DESIGN.md §Experiment index C3, A1). All fields are atomic and padded to
+// distinct cache lines (see atomicx.PadInt64: unpadded neighbours would
+// false-share under the very contention the experiments measure); a nil
+// *Stats disables collection.
 type Stats struct {
 	// BitReads counts InterpretedBit evaluations.
 	BitReads atomicx.PadInt64

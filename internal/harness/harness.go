@@ -1,6 +1,7 @@
 // Package harness runs concurrent workloads against any dynamic-set
 // implementation and reports throughput and derived metrics. It powers the
-// EXPERIMENTS.md sweeps (cmd/triebench) and the root-level benchmarks.
+// trajectory experiments of DESIGN.md §Experiment index (cmd/triebench) and
+// the root-level benchmarks.
 //
 // The harness pre-generates one deterministic operation stream per worker,
 // starts all workers on a barrier, runs for a fixed operation count, and
@@ -10,7 +11,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"time"
@@ -41,8 +41,6 @@ type Config struct {
 	DistFor func(worker int) workload.KeyDist
 	// Seed makes streams deterministic; worker i uses Seed+i.
 	Seed int64
-	// Prefill inserts keys 0,…,Prefill−1 before measuring.
-	Prefill int64
 	// StallEvery, when > 0, makes worker 0 sleep StallDuration after every
 	// StallEvery operations — the stalled-process experiment (C4). With a
 	// lock-free structure other workers keep committing; with a lock-based
@@ -79,20 +77,6 @@ func Run(s Set, cfg Config) (Result, error) {
 	}
 	if err := cfg.Mix.Validate(); err != nil {
 		return Result{}, err
-	}
-	// Prefill in shuffled order: sequential insertion order is a
-	// pathological input for unbalanced-tree baselines (it degenerates the
-	// EFRB BST to a list) and would skew comparisons with an artifact.
-	if cfg.Prefill > 0 {
-		keys := make([]int64, cfg.Prefill)
-		for i := range keys {
-			keys[i] = int64(i)
-		}
-		rng := rand.New(rand.NewSource(cfg.Seed + 1))
-		rng.Shuffle(len(keys), func(i, j int) { keys[i], keys[j] = keys[j], keys[i] })
-		for _, k := range keys {
-			s.Insert(k)
-		}
 	}
 	// Pre-generate streams outside the measured region.
 	streams := make([][]workload.Op, cfg.Workers)

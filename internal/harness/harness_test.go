@@ -38,7 +38,6 @@ func TestRunCore(t *testing.T) {
 		Mix:          workload.MixUpdateHeavy,
 		Dist:         workload.Uniform{U: 256},
 		Seed:         1,
-		Prefill:      64,
 	})
 	if err != nil {
 		t.Fatal(err)

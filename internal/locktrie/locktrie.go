@@ -1,7 +1,8 @@
 // Package locktrie wraps the sequential binary trie with a readers–writer
 // lock. It is the coarse-grained baseline for the throughput experiments
-// (EXPERIMENTS.md C4, C5): trivially linearizable, but updates serialize and
-// a stalled writer blocks everyone — the failure mode lock-freedom removes.
+// (DESIGN.md §Experiment index C4, C5): trivially linearizable, but updates
+// serialize and a stalled writer blocks everyone — the failure mode
+// lock-freedom removes.
 package locktrie
 
 import (

@@ -1,8 +1,8 @@
 // Package workload generates deterministic operation streams for the
 // benchmark harness: operation mixes (insert/delete/search/predecessor
 // ratios) and key distributions (uniform, zipf-skewed, clustered hot
-// range). Determinism — same seed, same stream — makes the EXPERIMENTS.md
-// numbers reproducible.
+// range). Determinism — same seed, same stream — makes the numbers of
+// DESIGN.md §Experiment index reproducible.
 package workload
 
 import (
