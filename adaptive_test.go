@@ -2,13 +2,12 @@ package lockfreetrie_test
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
 	lockfreetrie "repro"
+	"repro/internal/adapt"
 	"repro/internal/lincheck"
 	"repro/internal/settest"
 	"repro/internal/sharded"
@@ -17,59 +16,14 @@ import (
 // aggressive is a facade config that samples and flips fast enough for
 // test-sized workloads, with thresholds pinned so the suite is
 // independent of default re-tuning.
-var aggressive = lockfreetrie.AdaptiveConfig{
-	SampleEvery: 16, MinDwellSamples: 2,
-	EnableThreshold: 2.5, DisableThreshold: 1.4, SmoothingAlpha: 0.5,
+var aggressive = adapt.Config{
+	SampleEvery: 16, MinDwell: 2,
+	Enable: 2.5, Disable: 1.4, Alpha: 0.5,
 }
 
-// TestWithAdaptiveCombiningValidation pins the option's error cases and
-// the construction-time flags.
+// TestWithAdaptiveCombiningValidation pins the option's construction-time
+// flags.
 func TestWithAdaptiveCombiningValidation(t *testing.T) {
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{}, lockfreetrie.AdaptiveConfig{})); err == nil {
-		t.Fatal("two AdaptiveConfigs accepted")
-	}
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{EnableThreshold: 2, DisableThreshold: 3})); err == nil {
-		t.Fatal("inverted hysteresis band accepted")
-	}
-	// One-sided settings are validated against the other side's default:
-	// Enable 1.2 sits below the default Disable 1.4, and a Disable above
-	// the default Enable 4.0 inverts the band just as silently.
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{EnableThreshold: 1.2})); err == nil {
-		t.Fatal("EnableThreshold below the default DisableThreshold accepted")
-	}
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{DisableThreshold: 5})); err == nil {
-		t.Fatal("DisableThreshold above the default EnableThreshold accepted")
-	}
-	// Out-of-domain values error instead of silently taking defaults.
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{SmoothingAlpha: 1.5})); err == nil {
-		t.Fatal("SmoothingAlpha > 1 accepted")
-	}
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{SampleEvery: -8})); err == nil {
-		t.Fatal("negative SampleEvery accepted")
-	}
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(
-		lockfreetrie.AdaptiveConfig{RetractRateDisable: 1.5})); err == nil {
-		t.Fatal("RetractRateDisable > 1 accepted (the guard would be unreachable)")
-	}
-	// NaN fails every ordered comparison, so naive x < 0 || x > 1 checks
-	// would wave it through into a controller that can never flip.
-	for _, cfg := range []lockfreetrie.AdaptiveConfig{
-		{SmoothingAlpha: math.NaN()},
-		{EnableThreshold: math.NaN()},
-		{DisableThreshold: math.NaN()},
-		{RetractRateDisable: math.NaN()},
-		{EnableThreshold: math.Inf(1)}, // a never-enabling controller is pure tax
-	} {
-		if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining(cfg)); err == nil {
-			t.Fatalf("non-finite config %+v accepted", cfg)
-		}
-	}
 	tr, err := lockfreetrie.New(1<<10, lockfreetrie.WithAdaptiveCombining())
 	if err != nil {
 		t.Fatal(err)
@@ -100,7 +54,7 @@ func TestAdaptiveQuiescentState(t *testing.T) {
 				cfg := aggressive
 				cfg.StartCombining = start
 				tr, err := lockfreetrie.New(1<<10,
-					lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(cfg))
+					lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveTuning(cfg))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -165,23 +119,23 @@ func TestAdaptiveQuiescentState(t *testing.T) {
 // TestAdaptiveSoloPublisherDisables is the facade-level thin-spread
 // regression: a single publisher starting in combining mode drains only
 // size-1 rounds, so the controller must flip it to direct within the
-// dwell bound — max(MinDwellSamples, 2) samples of SampleEvery updates
+// dwell bound — max(MinDwell, 2) samples of SampleEvery updates
 // each (2 samples is the EWMA's decay from the optimistic start to the
 // disable threshold at the default α).
 func TestAdaptiveSoloPublisherDisables(t *testing.T) {
-	cfg := lockfreetrie.AdaptiveConfig{
-		SampleEvery: 16, MinDwellSamples: 3, StartCombining: true,
-		EnableThreshold: 2.5, DisableThreshold: 1.4, SmoothingAlpha: 0.5,
+	cfg := adapt.Config{
+		SampleEvery: 16, MinDwell: 3, StartCombining: true,
+		Enable: 2.5, Disable: 1.4, Alpha: 0.5,
 	}
-	tr, err := lockfreetrie.New(1<<12, lockfreetrie.WithAdaptiveCombining(cfg))
+	tr, err := lockfreetrie.New(1<<12, lockfreetrie.WithAdaptiveTuning(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The dwell bound, in update ops, plus one sample of slack for the
 	// cadence offset.
-	bound := cfg.SampleEvery * (cfg.MinDwellSamples + 1)
-	for i := 0; i < bound; i++ {
-		if err := tr.Insert(int64(i)); err != nil {
+	bound := cfg.SampleEvery * (cfg.MinDwell + 1)
+	for i := int64(0); i < bound; i++ {
+		if err := tr.Insert(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -194,8 +148,8 @@ func TestAdaptiveSoloPublisherDisables(t *testing.T) {
 	}
 	// Re-enabling needs clustering; another solo stretch must not flip
 	// back.
-	for i := 0; i < bound; i++ {
-		if err := tr.Delete(int64(i)); err != nil {
+	for i := int64(0); i < bound; i++ {
+		if err := tr.Delete(i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -238,19 +192,6 @@ func TestAdaptiveApplyBatch(t *testing.T) {
 	}
 }
 
-// TestAdaptiveRelaxedFacade: NewRelaxed rejects WithAdaptiveCombining
-// at every shard count, naming the option — the relaxed trie has no
-// announcement lists for a combining round to amortize.
-func TestAdaptiveRelaxedFacade(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		_, err := lockfreetrie.NewRelaxed(256,
-			lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(aggressive))
-		if err == nil || !strings.Contains(err.Error(), "WithAdaptiveCombining") {
-			t.Fatalf("k=%d: NewRelaxed with WithAdaptiveCombining: %v, want a rejection naming the option", k, err)
-		}
-	}
-}
-
 // adaptiveFactory builds facade tries under WithAdaptiveCombining for the
 // settest suite.
 func adaptiveFactory(k int, start bool) settest.Factory {
@@ -258,7 +199,7 @@ func adaptiveFactory(k int, start bool) settest.Factory {
 		cfg := aggressive
 		cfg.StartCombining = start
 		tr, err := lockfreetrie.New(u,
-			lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(cfg))
+			lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveTuning(cfg))
 		if err != nil {
 			return nil, err
 		}
@@ -299,10 +240,10 @@ func runAdaptiveRecorded(t *testing.T, u int64, k, workers int, script func(id i
 	t.Helper()
 	cfg := aggressive
 	cfg.SampleEvery = 4
-	cfg.MinDwellSamples = 1
+	cfg.MinDwell = 1
 	cfg.StartCombining = true
 	tr, err := lockfreetrie.New(u,
-		lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveCombining(cfg))
+		lockfreetrie.WithShards(k), lockfreetrie.WithAdaptiveTuning(cfg))
 	if err != nil {
 		t.Fatal(err)
 	}

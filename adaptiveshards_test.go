@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	lockfreetrie "repro"
+	"repro/internal/adapt"
 	"repro/internal/resize"
 	"repro/internal/settest"
 )
@@ -108,8 +109,8 @@ func TestAdaptiveShardsConformance(t *testing.T) {
 	}{
 		{"plain", nil},
 		{"combining", []lockfreetrie.Option{lockfreetrie.WithCombining()}},
-		{"adaptive-combining", []lockfreetrie.Option{lockfreetrie.WithAdaptiveCombining(
-			lockfreetrie.AdaptiveConfig{SampleEvery: 8, MinDwellSamples: 1})}},
+		{"adaptive-combining", []lockfreetrie.Option{lockfreetrie.WithAdaptiveTuning(
+			adapt.Config{SampleEvery: 8, MinDwell: 1})}},
 	}
 	for _, v := range variants {
 		v := v
@@ -271,64 +272,5 @@ func TestAdaptiveShardsBatchAndRange(t *testing.T) {
 				t.Fatalf("round %d: Keys[%d] = %d, want %d", round, i, got[i], want[i])
 			}
 		}
-	}
-}
-
-// TestRelaxedAdaptiveShards: the relaxed facade across forced
-// transitions — exact at quiescence, stats wired, bounds validated.
-func TestRelaxedAdaptiveShards(t *testing.T) {
-	if _, err := lockfreetrie.NewRelaxed(1<<10, lockfreetrie.WithAdaptiveShards(3, 8)); err == nil {
-		t.Error("non-power-of-two min accepted")
-	}
-	const u = int64(512)
-	tr, err := lockfreetrie.NewRelaxed(u, lockfreetrie.WithAdaptiveShards(1, 16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	ref := map[int64]bool{}
-	for i := 0; i < 300; i++ {
-		k := rng.Int63n(u)
-		if rng.Intn(3) == 0 {
-			tr.Delete(k)
-			delete(ref, k)
-		} else {
-			tr.Insert(k)
-			ref[k] = true
-		}
-	}
-	for _, k := range []int{4, 16, 4, 1} {
-		if err := lockfreetrie.ForceResizeRelaxed(tr, k); err != nil {
-			t.Fatal(err)
-		}
-		if got := tr.Shards(); got != k {
-			t.Fatalf("Shards = %d, want %d", got, k)
-		}
-		want := int64(-1)
-		for x := int64(0); x < u; x++ {
-			got, err := tr.Contains(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != ref[x] {
-				t.Fatalf("k=%d: Contains(%d) = %v, want %v", k, x, got, ref[x])
-			}
-			p, ok, err := tr.Predecessor(x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok || p != want {
-				t.Fatalf("k=%d: Predecessor(%d) = (%d, %v), want (%d, true)", k, x, p, ok, want)
-			}
-			if ref[x] {
-				want = x
-			}
-		}
-	}
-	if st := tr.ResizeStats(); st.Grows != 2 || st.Shrinks != 2 {
-		t.Fatalf("relaxed ResizeStats = %+v", st)
-	}
-	if !tr.AdaptiveShards() {
-		t.Fatal("AdaptiveShards() = false")
 	}
 }

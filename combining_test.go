@@ -3,7 +3,6 @@ package lockfreetrie_test
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -52,17 +51,6 @@ func combiningFactory(k int) settest.Factory {
 			return nil, err
 		}
 		return apiSet{tr}, nil
-	}
-}
-
-// TestCombiningRelaxedRejected: NewRelaxed rejects WithCombining at every
-// shard count, naming the option.
-func TestCombiningRelaxedRejected(t *testing.T) {
-	for _, k := range []int{1, 4} {
-		_, err := lockfreetrie.NewRelaxed(256, lockfreetrie.WithShards(k), lockfreetrie.WithCombining())
-		if err == nil || !strings.Contains(err.Error(), "WithCombining") {
-			t.Fatalf("k=%d: NewRelaxed with WithCombining: %v, want a rejection naming the option", k, err)
-		}
 	}
 }
 

@@ -116,10 +116,6 @@ func WithSnapshotBytes(n int64) DurabilityOption {
 // checkpoints stop, wal.append.errors counts, and Close returns it —
 // the durability contract is broken from that instant while the
 // in-memory set remains fully usable.
-//
-// Incompatible with NewRelaxed (the relaxed trie has no batch
-// entrypoint for recovery to load through, and a checkpoint scan cannot
-// use its abstaining Predecessor).
 func WithDurability(dir string, opts ...DurabilityOption) Option {
 	return func(c *config) error {
 		if dir == "" {

@@ -4,13 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	lockfreetrie "repro"
+	"repro/internal/adapt"
 	"repro/internal/wal"
 )
 
@@ -155,10 +155,6 @@ func TestDurabilityOptionValidation(t *testing.T) {
 			t.Fatalf("case %d: invalid durability option accepted", i)
 		}
 	}
-	if _, err := lockfreetrie.NewRelaxed(1<<12, lockfreetrie.WithDurability(t.TempDir())); err == nil ||
-		!strings.Contains(err.Error(), "NewRelaxed") {
-		t.Fatalf("NewRelaxed with durability: %v, want rejection", err)
-	}
 }
 
 // TestNonDurableClose: Close and SnapshotWAL behave sanely without
@@ -190,7 +186,7 @@ func TestDurableObsGauges(t *testing.T) {
 	for _, k := range []int{1, 4} {
 		tr, err := lockfreetrie.New(1<<12,
 			lockfreetrie.WithShards(k),
-			lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{StartCombining: true}),
+			lockfreetrie.WithAdaptiveTuning(adapt.Config{StartCombining: true}),
 			lockfreetrie.WithDurability(t.TempDir(), lockfreetrie.WithSyncEvery(1<<20)))
 		if err != nil {
 			t.Fatal(err)

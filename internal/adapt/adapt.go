@@ -118,9 +118,9 @@ type Config struct {
 	// switches back to direct. Must stay below Enable; the gap is the
 	// hysteresis band. An inverted band (Disable ≥ Enable, possible when
 	// only Enable is set and falls under the default Disable) is clamped
-	// to Disable = Enable/2 so hysteresis always exists — the public
-	// facade validates and errors instead (WithAdaptiveCombining);
-	// direct internal callers get the documented clamp.
+	// to Disable = Enable/2 so hysteresis always exists. The public
+	// facade exposes no tuning (WithAdaptiveCombining always runs the
+	// defaults), so only internal callers and tests can reach the clamp.
 	Disable float64
 	// RetractDisable is the retraction-rate (retracted / submitted)
 	// threshold that disables combining regardless of the batch EWMA.

@@ -25,7 +25,8 @@ type Trie struct {
 	u      int64
 	latest []atomic.Pointer[unode.UpdateNode]
 	bits   *bitstrie.Trie
-	// count backs Len: bumped by winning updates after their linearization
+	// count backs Len: bumped by winning updates (the ones whose CAS on
+	// latest[x] performed the transition) after their linearization
 	// point; padded on both sides off the header fields every operation
 	// reads (the leading pad — PadInt64 only pads behind the counter).
 	_     [atomicx.CacheLine]byte
@@ -50,7 +51,7 @@ func New(u int64) (*Trie, error) {
 // U returns the (padded) universe size.
 func (t *Trie) U() int64 { return t.u }
 
-// Len returns the number of keys in the set, counted from the win-reporting
+// Len returns the number of keys in the set, counted from the winning
 // updates (O(1)). Weakly consistent under concurrent updates; exact at
 // quiescence.
 func (t *Trie) Len() int64 { return t.count.Load() }
@@ -103,18 +104,10 @@ func (t *Trie) Search(x int64) bool {
 // O(log u) worst-case steps.
 //
 // Precondition: 0 ≤ x < U().
-func (t *Trie) Insert(x int64) { t.Add(x) }
-
-// Add is Insert reporting whether this operation performed the
-// absent→present transition (its INS node won the latest[x] CAS, Lemma
-// 4.3). False means x was already present or a concurrent update on x
-// linearized first. The sharded layer's occupancy counters hang off this.
-//
-// Precondition: 0 ≤ x < U().
-func (t *Trie) Add(x int64) bool {
+func (t *Trie) Insert(x int64) {
 	dNode := t.findLatest(x)
 	if dNode.Kind != unode.Del {
-		return false // x already in S
+		return // x already in S
 	}
 	iNode := unode.NewIns(x)
 	iNode.Status.Store(unode.StatusActive) // §4: nodes are created active
@@ -131,33 +124,26 @@ func (t *Trie) Add(x int64) bool {
 	// ever-inserted bit must be set before iNode can enter latest[x].
 	t.bits.MarkEverInserted(x)
 	if !t.latest[x].CompareAndSwap(dNode, iNode) {
-		return false // another TrieInsert(x) linearized first (Lemma 4.3)
+		return // another TrieInsert(x) linearized first (Lemma 4.3)
 	}
 	t.count.Add(1)
 	t.bits.InsertBinaryTrie(iNode)
-	return true
 }
 
 // Delete removes x from the set (paper lines 47–57, TrieDelete). Wait-free,
 // O(log u) worst-case steps.
 //
 // Precondition: 0 ≤ x < U().
-func (t *Trie) Delete(x int64) { t.Remove(x) }
-
-// Remove is Delete reporting whether this operation performed the
-// present→absent transition (the mirror of Add, Lemma 4.4).
-//
-// Precondition: 0 ≤ x < U().
-func (t *Trie) Remove(x int64) bool {
+func (t *Trie) Delete(x int64) {
 	iNode := t.findLatest(x)
 	if iNode.Kind != unode.Ins {
-		return false // x not in S
+		return // x not in S
 	}
 	dNode := unode.NewDel(x, t.b)
 	dNode.Status.Store(unode.StatusActive)
 	dNode.LatestNext.Store(iNode)
 	if !t.latest[x].CompareAndSwap(iNode, dNode) {
-		return false // another TrieDelete(x) linearized first (Lemma 4.4)
+		return // another TrieDelete(x) linearized first (Lemma 4.4)
 	}
 	t.count.Add(-1)
 	// Paper line 55: stop the Delete whose DEL node the replaced Insert was
@@ -166,7 +152,6 @@ func (t *Trie) Remove(x int64) bool {
 		tg.Stop.Store(true)
 	}
 	t.bits.DeleteBinaryTrie(dNode)
-	return true
 }
 
 // Successor returns the smallest key greater than y under the mirrored

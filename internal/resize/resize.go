@@ -12,7 +12,7 @@
 // and pointer identity doubles as the validation token. An epoch carries
 // the authoritative table (cur), the under-construction table (next,
 // migration phases only), per-shard entry gates, and — in the journal
-// phase — per-shard dirty tries.
+// phase — per-shard dirty bitmaps.
 //
 // Updates follow acquire-validate: load the epoch, increment the owning
 // shard's gate, re-load the epoch, and retreat if it moved. A successful
@@ -26,18 +26,18 @@
 //		stable(A)  → journal(A, dirty) → [journal generations…] → sealed(A→B) → stable(B)
 //
 //	 1. Install a journal epoch. Updates still apply to the OLD table A —
-//	    A stays the single source of truth throughout — but first insert
-//	    their key into the owning old shard's dirty trie.
+//	    A stays the single source of truth throughout — but first mark
+//	    their key in the owning old shard's dirty bitmap.
 //	 2. Drain the stable epoch's gates: pre-journal stragglers (which
 //	    write A without journaling) finish before the copy starts.
 //	 3. Bulk-copy A into the private new table B by scanning A live. The
 //	    scan races with journal-phase updates, but any key whose A-state
-//	    changes after the journal epoch was installed is in a dirty trie
+//	    changes after the journal epoch was installed is in a dirty bitmap
 //	    BEFORE the change lands (journal-before-apply), so the scan only
 //	    needs to be correct for untouched keys — and for those, every
 //	    per-key probe is exact. The dirty set absorbs all scan races.
 //	 4. Catch-up generations: install a fresh journal epoch, drain the
-//	    previous one (freezing its dirty tries), and replay each frozen
+//	    previous one (freezing its dirty bitmaps), and replay each frozen
 //	    dirty key x as B[x] ← A[x]. Keys racing the replay are dirty in
 //	    the newer generation and get replayed again.
 //	 5. Seal: install the sealed epoch (new updates spin until activation;
@@ -73,6 +73,7 @@ import (
 	"repro/internal/atomicx"
 	"repro/internal/bitmap"
 	"repro/internal/obs"
+	"repro/internal/sharded"
 )
 
 // Stage identifies a point of the migration protocol, for the test hook.
@@ -143,15 +144,15 @@ const (
 )
 
 // epoch is one immutable generation of the routing state.
-type epoch[T migTable] struct {
+type epoch struct {
 	phase int
 	// cur is the authoritative table every operation applies to and
 	// every query reads. During journal/sealed phases this is the OLD
 	// (retiring) table.
-	cur T
-	// next is the under-construction table (zero value outside
-	// migrations). Private to the coordinator until activation.
-	next T
+	cur *sharded.Trie
+	// next is the under-construction table (nil outside migrations).
+	// Private to the coordinator until activation.
+	next *sharded.Trie
 	// dirty journals the keys updated during this journal-phase
 	// generation, one bitmap per cur shard (nil outside the journal
 	// phase): one bit per shard-local key, marked with a single atomic OR
@@ -183,7 +184,7 @@ type epoch[T migTable] struct {
 	// phase): updates that arrive inside the sealed window claim dirty
 	// words from it and replay them instead of burning their wait on
 	// Gosched — the seal drains faster the more writers it parks.
-	help *helpState[T]
+	help *helpState
 }
 
 // helpState coordinates the final dirty replay between the migration
@@ -194,7 +195,7 @@ type epoch[T migTable] struct {
 // goroutine. Replay is pure state transfer (next[x] ← cur[x] on a frozen
 // cur), so helpers need no further synchronization with each other or
 // with the coordinator beyond the claim.
-type helpState[T migTable] struct {
+type helpState struct {
 	// ready gates helpers out until the generation's writers are
 	// drained: before that, cur is still changing and a replayed word
 	// could transfer a value the frozen-replay argument does not cover.
@@ -203,27 +204,16 @@ type helpState[T migTable] struct {
 	done          atomic.Int64 // words fully replayed
 	total         int64        // work-list length (shards × words per shard)
 	dirty         []bitmap.Words
-	cur           T // frozen retiring table (authoritative values)
-	next          T // under-construction table being completed
+	cur           *sharded.Trie // frozen retiring table (authoritative values)
+	next          *sharded.Trie // under-construction table being completed
 	wordsPerShard int64
 	shardBits     uint
 }
 
 // shardOf returns the cur-shard index owning global key x.
-func (e *epoch[T]) shardOf(x int64) int { return int(x >> e.shardBits) }
+func (e *epoch) shardOf(x int64) int { return int(x >> e.shardBits) }
 
-// migTable is what the migration engine needs from a partition
-// generation; *sharded.Trie and *sharded.Relaxed both satisfy it.
-type migTable interface {
-	Shards() int
-	U() int64
-	Len() int64
-	Insert(x int64)
-	Delete(x int64)
-	Search(x int64) bool
-}
-
-// Stats is a snapshot of a resizer's lifetime counters.
+// Stats is a snapshot of a Set's lifetime counters.
 type Stats struct {
 	// Shards is the current (authoritative) shard count.
 	Shards int
@@ -233,29 +223,19 @@ type Stats struct {
 	Migrating bool
 }
 
-// resizer is the shared engine under Set and RelaxedSet: the epoch
-// pointer, the migration coordinator, and the decision sampling.
-type resizer[T migTable] struct {
-	u       int64
-	factory func(k int) (T, error)
-	// scan enumerates the table's current keys. It may run against a
-	// live table: it must be exact for keys that no concurrent update
-	// touches and merely terminate for the rest (the dirty journal
-	// corrects them).
-	scan func(t T, emit func(key int64))
-	// peers optionally reports extra per-shard publisher evidence
-	// beyond the gates (the core tables expose announcement-list
-	// lengths); nil for tables without one.
-	peers func(t T) int64
-	// bulk optionally loads a run of keys into the (private) new table
-	// through the table's batch entrypoint, amortizing announcement
-	// passes during the copy; nil falls back to per-key Insert.
-	bulk func(next T, keys []int64)
-	// carry optionally reads a table's adaptive-combining transition
-	// counters so they survive the table's retirement.
-	carry func(t T) (enables, disables int64)
+// Set is the resizable linearizable sharded trie: a *sharded.Trie whose
+// shard count migrates at runtime behind the epoch protocol of this
+// package — the epoch pointer, the migration coordinator and the
+// decision sampling. Create with NewSet; all methods are safe for
+// concurrent use.
+type Set struct {
+	u int64
+	// factory builds a table at a given shard count, carrying whatever
+	// combining/adaptive configuration the caller composed into it; it
+	// is re-invoked on every migration.
+	factory func(k int) (*sharded.Trie, error)
 
-	epoch    atomic.Pointer[epoch[T]]
+	epoch    atomic.Pointer[epoch]
 	resizing atomic.Bool
 
 	dec *Decider
@@ -284,15 +264,14 @@ type resizer[T migTable] struct {
 
 // SetEvents routes migration trace events to ring. Install before
 // concurrent use (the field is plain).
-func (r *resizer[T]) SetEvents(ring *obs.Ring) { r.events = ring }
+func (s *Set) SetEvents(ring *obs.Ring) { s.events = ring }
 
-// newEpoch builds a generation around cur. journal selects the journal
-// phase (with fresh dirty tries); sealedNext non-zero selects the sealed
-// phase.
-func newEpoch[T migTable](phase int, cur, next T) (*epoch[T], error) {
+// newEpoch builds a generation around cur in the given phase; the
+// journal phase gets fresh dirty bitmaps.
+func newEpoch(phase int, cur, next *sharded.Trie) *epoch {
 	k := cur.Shards()
 	width := cur.U() / int64(k)
-	e := &epoch[T]{
+	e := &epoch{
 		phase:     phase,
 		cur:       cur,
 		next:      next,
@@ -306,69 +285,73 @@ func newEpoch[T migTable](phase int, cur, next T) (*epoch[T], error) {
 			e.dirty[i] = bitmap.NewWords(width)
 		}
 	}
-	return e, nil
+	return e
 }
 
-func newResizer[T migTable](initial T, factory func(k int) (T, error),
-	scan func(T, func(int64)), cfg Config) (*resizer[T], error) {
-	e, err := newEpoch(phaseStable, initial, *new(T))
+// NewSet wraps factory(initial) in the resize machinery. factory builds
+// a table at a given shard count, carrying whatever combining/adaptive
+// configuration the caller composes into the closure; it is re-invoked
+// on every migration. cfg configures the decision layer — pass the zero
+// Config for a manually driven set (Resize only).
+func NewSet(initial int, factory func(k int) (*sharded.Trie, error), cfg Config) (*Set, error) {
+	t, err := factory(initial)
 	if err != nil {
 		return nil, err
 	}
-	r := &resizer[T]{u: initial.U(), factory: factory, scan: scan}
-	r.epoch.Store(e)
+	s := &Set{u: t.U(), factory: factory}
+	s.epoch.Store(newEpoch(phaseStable, t, nil))
 	if cfg != (Config{}) {
 		c := cfg.withDefaults()
 		// The geometry bound: a shard must span at least two keys.
-		if maxK := int(r.u / 2); c.MaxShards > maxK {
+		if maxK := int(s.u / 2); c.MaxShards > maxK {
 			c.MaxShards = maxK
 		}
 		if c.MinShards > c.MaxShards {
 			return nil, fmt.Errorf("resize: MinShards %d exceeds MaxShards %d (universe %d)",
-				c.MinShards, c.MaxShards, r.u)
+				c.MinShards, c.MaxShards, s.u)
 		}
-		r.dec = NewDecider(c)
+		s.dec = NewDecider(c)
 	}
-	return r, nil
+	return s, nil
 }
 
-// table returns the authoritative table for the calling read.
-func (r *resizer[T]) table() T { return r.epoch.Load().cur }
+// Table returns the authoritative table every query reads. The returned
+// trie may be retired by a concurrent migration; it stays readable
+// forever but writes to it bypass the journal, so callers must only
+// read.
+func (s *Set) Table() *sharded.Trie { return s.epoch.Load().cur }
 
 // Shards returns the current authoritative shard count.
-func (r *resizer[T]) Shards() int { return r.table().Shards() }
+func (s *Set) Shards() int { return s.Table().Shards() }
 
 // U returns the padded universe size.
-func (r *resizer[T]) U() int64 { return r.u }
+func (s *Set) U() int64 { return s.u }
 
 // Len returns the authoritative table's weakly-consistent cardinality
 // estimate (exact at quiescence). A migration in flight changes nothing:
 // the under-construction table is never consulted.
-func (r *resizer[T]) Len() int64 { return r.table().Len() }
+func (s *Set) Len() int64 { return s.Table().Len() }
 
 // Search reports membership of x; one epoch load plus the authoritative
 // table's Search. Readers never gate and never block, in any phase.
-func (r *resizer[T]) Search(x int64) bool { return r.table().Search(x) }
+func (s *Set) Search(x int64) bool { return s.Table().Search(x) }
 
 // Stats returns the resize counters.
-func (r *resizer[T]) Stats() Stats {
+func (s *Set) Stats() Stats {
 	return Stats{
-		Shards:    r.Shards(),
-		Grows:     r.grows.Load(),
-		Shrinks:   r.shrinks.Load(),
-		Migrating: r.resizing.Load(),
+		Shards:    s.Shards(),
+		Grows:     s.grows.Load(),
+		Shrinks:   s.shrinks.Load(),
+		Migrating: s.resizing.Load(),
 	}
 }
 
 // AdaptiveStats sums the adaptive-combining transition counters across
-// the live table and every retired one (zeros when the tables carry no
-// controllers).
-func (r *resizer[T]) AdaptiveStats() (enables, disables int64) {
-	if r.carry == nil {
-		return 0, 0
-	}
-	ep := r.epoch.Load()
-	e, d := r.carry(ep.cur)
+// the live table and every retired one (zeros unless the factory builds
+// adaptive tables).
+func (s *Set) AdaptiveStats() (enables, disables int64) {
+	ep := s.epoch.Load()
+	e, d := ep.cur.AdaptiveStats()
 	return ep.carryEnables + e, ep.carryDisables + d
 }
 
@@ -378,51 +361,26 @@ func (r *resizer[T]) AdaptiveStats() (enables, disables int64) {
 // from the final replay's work list and replay them — and only yield
 // when there is no work left to claim (replay not yet ready, or all
 // words taken and the activation flip pending).
-func (r *resizer[T]) enter(x int64) (*epoch[T], int) {
+func (s *Set) enter(x int64) (*epoch, int) {
 	for {
-		e := r.epoch.Load()
+		e := s.epoch.Load()
 		if e.phase == phaseSealed {
 			// The seal window is bounded: in-flight retiring-epoch
 			// updates plus one frozen dirty replay (see package comment)
 			// — and helping shrinks the replay term instead of just
 			// waiting it out.
-			if h := e.help; h == nil || !h.ready.Load() || r.helpReplay(h, true) == 0 {
+			if h := e.help; h == nil || !h.ready.Load() || s.helpReplay(h, true) == 0 {
 				runtime.Gosched()
 			}
 			continue
 		}
 		gi := e.shardOf(x)
 		e.gates[gi].Add(1)
-		if r.epoch.Load() == e {
+		if s.epoch.Load() == e {
 			return e, gi
 		}
 		e.gates[gi].Add(-1)
 	}
-}
-
-// Insert adds x to the set through the current epoch. In the journal
-// phase the key is journaled BEFORE it is applied — the ordering the
-// scan-race argument rests on.
-func (r *resizer[T]) Insert(x int64) {
-	r.tick(x)
-	e, gi := r.enter(x)
-	if e.phase == phaseJournal {
-		e.dirty[gi].Set(x & (e.width - 1)) // one atomic OR
-	}
-	e.cur.Insert(x)
-	e.gates[gi].Add(-1)
-}
-
-// Delete removes x from the set through the current epoch, with
-// Insert's journal-before-apply ordering.
-func (r *resizer[T]) Delete(x int64) {
-	r.tick(x)
-	e, gi := r.enter(x)
-	if e.phase == phaseJournal {
-		e.dirty[gi].Set(x & (e.width - 1)) // one atomic OR
-	}
-	e.cur.Delete(x)
-	e.gates[gi].Add(-1)
 }
 
 // drain blocks until every gate of e has been observed zero. Because any
@@ -440,7 +398,7 @@ func (r *resizer[T]) Delete(x int64) {
 // epoch the whole time, and the coordinator just waits), but test
 // drivers that block on Resize while churning unyieldingly reproduce
 // exactly that schedule; see the yield note in the resize test suites.
-func (r *resizer[T]) drain(e *epoch[T]) {
+func (s *Set) drain(e *epoch) {
 	for i := range e.gates {
 		for e.gates[i].Load() != 0 {
 			runtime.Gosched()
@@ -452,7 +410,7 @@ func (r *resizer[T]) drain(e *epoch[T]) {
 // generation e (its writers drained). Pure state transfer: idempotent,
 // safe to repeat, and next is still private, so no interleaving can
 // lose or duplicate an operation.
-func (r *resizer[T]) replay(e *epoch[T], next T) {
+func (s *Set) replay(e *epoch, next *sharded.Trie) {
 	for i := range e.dirty {
 		base := int64(i) << e.shardBits
 		e.dirty[i].ForEachSet(func(lx int64) {
@@ -470,9 +428,9 @@ func (r *resizer[T]) replay(e *epoch[T], next T) {
 // generation ej's dirty bitmaps. All shards share one width, so the flat
 // word index w decomposes as (shard, word) = (w / wordsPerShard, w mod
 // wordsPerShard).
-func newHelpState[T migTable](ej *epoch[T], next T) *helpState[T] {
+func newHelpState(ej *epoch, next *sharded.Trie) *helpState {
 	wps := bitmap.WordsFor(ej.width)
-	return &helpState[T]{
+	return &helpState{
 		total:         int64(len(ej.dirty)) * wps,
 		dirty:         ej.dirty,
 		cur:           ej.cur,
@@ -493,7 +451,7 @@ func newHelpState[T migTable](ej *epoch[T], next T) *helpState[T] {
 // is to leave the window as fast as possible) from the coordinator
 // (which yields once per claimed word so parked updates get scheduled
 // and can start helping at all on a saturated host).
-func (r *resizer[T]) helpReplay(h *helpState[T], helper bool) int {
+func (s *Set) helpReplay(h *helpState, helper bool) int {
 	claimed := 0
 	for {
 		w := h.cursor.Add(1) - 1
@@ -518,8 +476,8 @@ func (r *resizer[T]) helpReplay(h *helpState[T], helper bool) int {
 			keys++
 		}
 		if helper && keys > 0 {
-			r.assists.Add(keys)
-			r.events.Publish(obs.KindSealAssist, int32(si), keys)
+			s.assists.Add(keys)
+			s.events.Publish(obs.KindSealAssist, int32(si), keys)
 		}
 		h.done.Add(1)
 		if !helper {
@@ -531,11 +489,11 @@ func (r *resizer[T]) helpReplay(h *helpState[T], helper bool) int {
 // SealAssists returns the cumulative count of keys replayed by
 // sealed-window helpers (monitoring; zero when every seal was drained by
 // the coordinator alone).
-func (r *resizer[T]) SealAssists() int64 { return r.assists.Load() }
+func (s *Set) SealAssists() int64 { return s.assists.Load() }
 
 // dirtySizes returns a generation's per-shard journaled key counts (the
 // CatchupTracker's observation).
-func (e *epoch[T]) dirtySizes() []int64 {
+func (e *epoch) dirtySizes() []int64 {
 	s := make([]int64, len(e.dirty))
 	for i := range e.dirty {
 		s[i] = e.dirty[i].PopCount()
@@ -551,18 +509,18 @@ var ErrBusy = fmt.Errorf("resize: migration already in flight")
 // already in flight and validates target against the table factory's
 // own geometry rules. Safe to call from any goroutine; ops continue
 // concurrently throughout.
-func (r *resizer[T]) Resize(target int) error {
-	if !r.resizing.CompareAndSwap(false, true) {
+func (s *Set) Resize(target int) error {
+	if !s.resizing.CompareAndSwap(false, true) {
 		return ErrBusy
 	}
-	defer r.resizing.Store(false)
-	return r.migrate(target)
+	defer s.resizing.Store(false)
+	return s.migrate(target)
 }
 
 // migrate runs the protocol of the package comment. Caller holds the
 // resizing flag, which serializes coordinators — epoch installs are
 // plain stores.
-func (r *resizer[T]) migrate(target int) error {
+func (s *Set) migrate(target int) error {
 	// Stage clock for the migration trace event: mark() returns the
 	// nanoseconds since the previous mark, so the six readings below are
 	// exactly the per-stage durations the event carries.
@@ -573,39 +531,32 @@ func (r *resizer[T]) migrate(target int) error {
 		stageStart = now
 		return int64(d)
 	}
-	e0 := r.epoch.Load()
+	e0 := s.epoch.Load()
 	old := e0.cur
 	from := old.Shards()
-	next, err := r.factory(target)
+	next, err := s.factory(target)
 	if err != nil {
 		return fmt.Errorf("resize: building %d-shard table: %w", target, err)
 	}
 	// 1–2: journal, then drain the pre-journal stragglers.
-	ej, err := newEpoch(phaseJournal, old, next)
-	if err != nil {
-		return err
-	}
+	ej := newEpoch(phaseJournal, old, next)
 	ej.carryEnables, ej.carryDisables = e0.carryEnables, e0.carryDisables
-	r.epoch.Store(ej)
+	s.epoch.Store(ej)
 	hook(StageJournal)
-	r.drain(e0)
+	s.drain(e0)
 	hook(StageDrained)
 	dJournal := mark()
 	// 3: bulk copy (next is private; the dirty journal absorbs races),
-	// batched through the table's batch entrypoint where it has one.
-	if r.bulk != nil {
-		buf := make([]int64, 0, bulkRun)
-		r.scan(old, func(key int64) {
-			if buf = append(buf, key); len(buf) == bulkRun {
-				r.bulk(next, buf)
-				buf = buf[:0]
-			}
-		})
-		if len(buf) > 0 {
-			r.bulk(next, buf)
+	// batched through the table's batch entrypoint.
+	buf := make([]int64, 0, bulkRun)
+	scan(old, func(key int64) {
+		if buf = append(buf, key); len(buf) == bulkRun {
+			bulkLoad(next, buf)
+			buf = buf[:0]
 		}
-	} else {
-		r.scan(old, func(key int64) { next.Insert(key) })
+	})
+	if len(buf) > 0 {
+		bulkLoad(next, buf)
 	}
 	hook(StageCopied)
 	dCopy := mark()
@@ -623,14 +574,11 @@ func (r *resizer[T]) migrate(target int) error {
 	// as they replay.
 	ct := NewCatchupTracker(CatchupConfig{})
 	for ct.Observe(ej.dirtySizes()) == CatchupContinue {
-		eNext, err := newEpoch(phaseJournal, old, next)
-		if err != nil {
-			return err
-		}
+		eNext := newEpoch(phaseJournal, old, next)
 		eNext.carryEnables, eNext.carryDisables = e0.carryEnables, e0.carryDisables
-		r.epoch.Store(eNext)
-		r.drain(ej)
-		r.replay(ej, next)
+		s.epoch.Store(eNext)
+		s.drain(ej)
+		s.replay(ej, next)
 		ej = eNext
 		hook(StageCatchup)
 	}
@@ -640,55 +588,45 @@ func (r *resizer[T]) migrate(target int) error {
 	// work: updates parked in the sealed window claim dirty words
 	// alongside the coordinator (see helpReplay), so the window shrinks
 	// with the number of waiters instead of growing with them.
-	es, err := newEpoch(phaseSealed, old, next)
-	if err != nil {
-		return err
-	}
+	es := newEpoch(phaseSealed, old, next)
 	es.carryEnables, es.carryDisables = e0.carryEnables, e0.carryDisables
 	es.help = newHelpState(ej, next)
-	r.epoch.Store(es)
+	s.epoch.Store(es)
 	hook(StageSealed)
-	r.drain(ej)
+	s.drain(ej)
 	dSeal := mark()
 	// Only now is cur frozen; open the work list to helpers and join the
 	// replay. The coordinator claiming alongside them guarantees progress
 	// even if every parked update is descheduled.
 	es.help.ready.Store(true)
-	r.helpReplay(es.help, false)
+	s.helpReplay(es.help, false)
 	for es.help.done.Load() != es.help.total {
 		runtime.Gosched() // helpers hold unfinished words; let them run
 	}
 	hook(StageReplayed)
 	dReplay := mark()
 	// 6: activate.
-	ea, err := newEpoch(phaseStable, next, *new(T))
-	if err != nil {
-		return err
-	}
+	ea := newEpoch(phaseStable, next, nil)
 	// Fold the retiring table's transition counters into the (still
 	// private) activation epoch: the fold becomes visible atomically
 	// with the flip, so AdaptiveStats never sees the old table both as
 	// the live table and in the base.
-	ea.carryEnables, ea.carryDisables = e0.carryEnables, e0.carryDisables
-	if r.carry != nil {
-		en, dis := r.carry(old)
-		ea.carryEnables += en
-		ea.carryDisables += dis
-	}
-	r.epoch.Store(ea)
+	en, dis := old.AdaptiveStats()
+	ea.carryEnables, ea.carryDisables = e0.carryEnables+en, e0.carryDisables+dis
+	s.epoch.Store(ea)
 	if target > from {
-		r.grows.Add(1)
+		s.grows.Add(1)
 	} else if target < from {
-		r.shrinks.Add(1)
+		s.shrinks.Add(1)
 	}
 	hook(StageActivated)
-	if r.events != nil {
+	if s.events != nil {
 		kind := obs.KindResizeGrow
 		if target < from {
 			kind = obs.KindResizeShrink
 		}
 		// Shard −1: the migration belongs to the whole set, not one shard.
-		r.events.Publish(kind, -1,
+		s.events.Publish(kind, -1,
 			int64(from), int64(target), dJournal, dCopy, dCatchup, dSeal, dReplay, mark())
 	}
 	// Fairness on saturated hosts: updates that waited out the sealed
@@ -716,49 +654,44 @@ const tickStripes = 16
 // grow or shrink verdict launches an asynchronous migration. The
 // counter is striped by a multiplicative hash of the key (padded
 // stripes), so this per-op bump stays off shared cache lines.
-func (r *resizer[T]) tick(x int64) {
-	if r.dec == nil {
+func (s *Set) tick(x int64) {
+	if s.dec == nil {
 		return
 	}
 	stripe := (uint64(x) * 0x9E3779B97F4A7C15) >> 60
-	if r.ticks[stripe].Add(1)%r.dec.cfg.SampleEvery != 0 {
+	if s.ticks[stripe].Add(1)%s.dec.cfg.SampleEvery != 0 {
 		return
 	}
-	if !r.sampling.CompareAndSwap(0, 1) {
+	if !s.sampling.CompareAndSwap(0, 1) {
 		return
 	}
-	defer r.sampling.Store(0)
-	e := r.epoch.Load()
-	if e.phase != phaseStable || r.resizing.Load() {
+	defer s.sampling.Store(0)
+	e := s.epoch.Load()
+	if e.phase != phaseStable || s.resizing.Load() {
 		return // decisions wait out an in-flight migration
 	}
 	// The contention estimate: the busiest shard's concurrent
-	// publishers — gate occupancy (in-flight updates) and, where the
-	// table exposes one, announcement-list length — plus one for the
-	// sampling operation itself.
-	var peers int64
+	// publishers — gate occupancy (in-flight updates) and
+	// announcement-list length — plus one for the sampling operation
+	// itself.
+	peers := announcedPeers(e.cur)
 	for i := range e.gates {
 		if g := e.gates[i].Load(); g > peers {
 			peers = g
 		}
 	}
-	if r.peers != nil {
-		if p := r.peers(e.cur); p > peers {
-			peers = p
-		}
-	}
-	target, ok := r.dec.Step(Signal{
+	target, ok := s.dec.Step(Signal{
 		Peers:     float64(peers) + 1,
 		Shards:    e.cur.Shards(),
 		Occupancy: e.cur.Len(),
 	})
-	if ok && r.resizing.CompareAndSwap(false, true) {
+	if ok && s.resizing.CompareAndSwap(false, true) {
 		go func() {
-			defer r.resizing.Store(false)
+			defer s.resizing.Store(false)
 			// A factory error here has no caller to report to; the
 			// decider simply retries on a later sample. Geometry is
 			// pre-clamped, so the only failures are allocation-class.
-			_ = r.migrate(target)
+			_ = s.migrate(target)
 		}()
 	}
 }

@@ -4,37 +4,8 @@ import (
 	"sort"
 
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sharded"
 )
-
-// Set is the resizable façade over the linearizable sharded trie: a
-// *sharded.Trie whose shard count migrates at runtime, behind the epoch
-// protocol of this package. Create with NewSet; all methods are safe
-// for concurrent use.
-type Set struct {
-	r *resizer[*sharded.Trie]
-}
-
-// NewSet wraps factory(initial) in the resize machinery. factory builds
-// a table at a given shard count, carrying whatever combining/adaptive
-// configuration the caller composes into the closure; it is re-invoked
-// on every migration. cfg configures the decision layer — pass the zero
-// Config for a manually driven set (Resize only).
-func NewSet(initial int, factory func(k int) (*sharded.Trie, error), cfg Config) (*Set, error) {
-	t, err := factory(initial)
-	if err != nil {
-		return nil, err
-	}
-	r, err := newResizer(t, factory, scanSharded, cfg)
-	if err != nil {
-		return nil, err
-	}
-	r.peers = announcedPeers
-	r.carry = (*sharded.Trie).AdaptiveStats
-	r.bulk = bulkLoad
-	return &Set{r: r}, nil
-}
 
 // bulkLoad inserts a run of unique keys through the batch entrypoint:
 // one announcement pass per shard-run instead of one per key. The scan
@@ -49,10 +20,12 @@ func bulkLoad(t *sharded.Trie, keys []int64) {
 	t.ApplyBatch(ops)
 }
 
-// scanSharded enumerates each non-empty shard's keys. Either strategy
-// is correct under concurrent updates for the same reason: a key no
-// update touches is present throughout and an exact per-shard probe (or
-// a linearizable Predecessor step) cannot miss it, while every touched
+// scan enumerates each non-empty shard's keys for the migration copy.
+// It runs against the live table, so it must be exact only for keys no
+// concurrent update touches (the dirty journal corrects the rest).
+// Either strategy below is correct for the same reason: a key no update
+// touches is present throughout and an exact per-shard probe (or a
+// linearizable Predecessor step) cannot miss it, while every touched
 // key is journaled — so the choice is purely about cost:
 //
 //   - dense shards take O(width) wait-free O(1) Search probes, which
@@ -65,7 +38,7 @@ func bulkLoad(t *sharded.Trie, keys []int64) {
 // Skipping count == 0 shards is safe for the same reason Predecessor's
 // fallback skips them: the count over-approximates, so zero proves the
 // shard empty at the read.
-func scanSharded(t *sharded.Trie, emit func(int64)) {
+func scan(t *sharded.Trie, emit func(int64)) {
 	width := t.U() / int64(t.Shards())
 	for i := 0; i < t.Shards(); i++ {
 		n := t.Occupancy(i)
@@ -108,58 +81,34 @@ func announcedPeers(t *sharded.Trie) int64 {
 	return peers
 }
 
-// Table returns the current authoritative table (tests, stats). The
-// returned trie may be retired by a concurrent migration; it stays
-// readable forever but writes to it bypass the journal, so callers must
-// only read.
-func (s *Set) Table() *sharded.Trie { return s.r.table() }
-
-// Shards returns the current shard count.
-func (s *Set) Shards() int { return s.r.Shards() }
-
-// U returns the padded universe size.
-func (s *Set) U() int64 { return s.r.U() }
-
-// Len returns the weakly-consistent cardinality estimate (exact at
-// quiescence), untouched by in-flight migrations.
-func (s *Set) Len() int64 { return s.r.Len() }
-
-// Stats returns the resize counters.
-func (s *Set) Stats() Stats { return s.r.Stats() }
-
-// AdaptiveStats sums adaptive-combining transitions across the live and
-// retired tables (zeros unless the factory builds adaptive tables).
-func (s *Set) AdaptiveStats() (enables, disables int64) { return s.r.AdaptiveStats() }
-
-// Decider returns the decision layer, or nil for manually driven sets.
-func (s *Set) Decider() *Decider { return s.r.dec }
-
-// SealAssists returns the cumulative count of keys replayed by updates
-// that arrived inside a sealed migration window and helped drain it.
-func (s *Set) SealAssists() int64 { return s.r.SealAssists() }
-
-// SetEvents routes migration trace events (grow/shrink with per-stage
-// durations, seal assists) to ring. Install before concurrent use.
-func (s *Set) SetEvents(ring *obs.Ring) { s.r.SetEvents(ring) }
-
-// Resize synchronously migrates to target shards (ErrBusy if one is in
-// flight). Concurrent operations proceed throughout.
-func (s *Set) Resize(target int) error { return s.r.Resize(target) }
-
-// Search reports whether x is in the set. Never blocks, in any phase.
+// Insert adds x to the set through the current epoch. In the journal
+// phase the key is journaled BEFORE it is applied — the ordering the
+// scan-race argument rests on.
 //
 // Precondition: 0 ≤ x < U().
-func (s *Set) Search(x int64) bool { return s.r.Search(x) }
+func (s *Set) Insert(x int64) {
+	s.tick(x)
+	e, gi := s.enter(x)
+	if e.phase == phaseJournal {
+		e.dirty[gi].Set(x & (e.width - 1)) // one atomic OR
+	}
+	e.cur.Insert(x)
+	e.gates[gi].Add(-1)
+}
 
-// Insert adds x to the set through the current epoch.
+// Delete removes x from the set through the current epoch, with
+// Insert's journal-before-apply ordering.
 //
 // Precondition: 0 ≤ x < U().
-func (s *Set) Insert(x int64) { s.r.Insert(x) }
-
-// Delete removes x from the set through the current epoch.
-//
-// Precondition: 0 ≤ x < U().
-func (s *Set) Delete(x int64) { s.r.Delete(x) }
+func (s *Set) Delete(x int64) {
+	s.tick(x)
+	e, gi := s.enter(x)
+	if e.phase == phaseJournal {
+		e.dirty[gi].Set(x & (e.width - 1)) // one atomic OR
+	}
+	e.cur.Delete(x)
+	e.gates[gi].Add(-1)
+}
 
 // Predecessor returns the largest key < y, or −1, from the
 // authoritative table (the retiring one during a migration — the under-
@@ -167,15 +116,15 @@ func (s *Set) Delete(x int64) { s.r.Delete(x) }
 // invisible).
 //
 // Precondition: 0 ≤ y < U().
-func (s *Set) Predecessor(y int64) int64 { return s.r.table().Predecessor(y) }
+func (s *Set) Predecessor(y int64) int64 { return s.Table().Predecessor(y) }
 
 // Successor returns the smallest key > y, or −1, mirroring Predecessor.
 //
 // Precondition: 0 ≤ y < U().
-func (s *Set) Successor(y int64) int64 { return s.r.table().Successor(y) }
+func (s *Set) Successor(y int64) int64 { return s.Table().Successor(y) }
 
 // Max returns the largest key in the set, or −1.
-func (s *Set) Max() int64 { return s.r.table().Max() }
+func (s *Set) Max() int64 { return s.Table().Max() }
 
 // ApplyBatch applies a pre-batched op sequence — global keys, sorted
 // strictly ascending, one op per key — through the current epoch. The
@@ -187,9 +136,8 @@ func (s *Set) ApplyBatch(ops []core.BatchOp) {
 	if len(ops) == 0 {
 		return
 	}
-	r := s.r
-	r.tick(ops[0].Key)
-	e, gi := r.enter(ops[0].Key)
+	s.tick(ops[0].Key)
+	e, gi := s.enter(ops[0].Key)
 	if e.phase == phaseJournal {
 		for i := range ops {
 			e.dirty[e.shardOf(ops[i].Key)].Set(ops[i].Key & (e.width - 1))

@@ -156,7 +156,7 @@ func ceilPow2(n int) int {
 }
 
 // geometry validates (u, k) and returns the padded universe, shard width
-// and width's log2. Shared by New and NewRelaxed.
+// and width's log2.
 func geometry(u int64, k int) (pu, width int64, shardBits uint, err error) {
 	if k < 1 || k > MaxShards || k&(k-1) != 0 {
 		return 0, 0, 0, fmt.Errorf("sharded: shard count %d must be a power of two in [1, %d]", k, MaxShards)

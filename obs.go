@@ -25,9 +25,10 @@ import (
 	"repro/internal/sharded"
 )
 
-// DefaultLatencySampling is the default op-latency sampling cadence: one
-// in this many operations (per counter stripe) is timed into the latency
-// histograms. See WithLatencySampling.
+// DefaultLatencySampling is the op-latency sampling cadence: one in this
+// many operations (per counter stripe, so ~1/1024 of the traffic) is
+// timed into the per-op-kind latency histograms; the rest pay only the
+// counter increment.
 const DefaultLatencySampling = 1024
 
 // Operation kinds of the ops.* counters and latency.* histograms, in
@@ -47,30 +48,12 @@ var opNames = [opKinds]string{
 	"search", "predecessor", "successor", "insert", "delete", "apply_batch",
 }
 
-// WithLatencySampling sets the latency sampling cadence: one in n
-// operations (per counter stripe, so ~1/n of the traffic) is timed into
-// the per-op-kind latency histograms; the rest pay only the counter
-// increment. n = 1 times every operation — useful for offline analysis,
-// far too hot for a benchmark. The default is DefaultLatencySampling.
-// Incompatible with WithoutObservability. NewRelaxed accepts and ignores
-// the observability options (the relaxed trie is a building-block export
-// without the instrumented facade).
-func WithLatencySampling(n int) Option {
-	return func(c *config) error {
-		if n < 1 {
-			return fmt.Errorf("lockfreetrie: WithLatencySampling(%d): cadence must be at least 1", n)
-		}
-		c.latEvery = int64(n)
-		return nil
-	}
-}
-
 // WithoutObservability strips the observability layer entirely: no
 // counters, no histograms, no event ring — every hook reduces to one nil
 // check. This is the measurement baseline the OB1 experiment compares the
 // instrumented default against (BENCH_obs.json); MetricsSnapshot returns
 // an empty snapshot and Events returns nil. Incompatible with
-// WithLatencySampling and WithDescentStats.
+// WithDescentStats.
 func WithoutObservability() Option {
 	return func(c *config) error {
 		c.obsOff = true
@@ -93,11 +76,8 @@ func WithDescentStats() Option {
 }
 
 // validateObservability checks the observability options against each
-// other (shared by New; NewRelaxed ignores the fields).
+// other.
 func (c *config) validateObservability() error {
-	if c.obsOff && c.latEvery != 0 {
-		return fmt.Errorf("lockfreetrie: WithLatencySampling is incompatible with WithoutObservability")
-	}
 	if c.obsOff && c.descentStats {
 		return fmt.Errorf("lockfreetrie: WithDescentStats is incompatible with WithoutObservability")
 	}
@@ -127,11 +107,8 @@ func newObsState(cfg *config) *obsState {
 	o := &obsState{
 		reg:       obs.NewRegistry(),
 		ring:      obs.NewRing(obs.DefaultRingSize),
-		every:     cfg.latEvery,
+		every:     DefaultLatencySampling,
 		coreStats: &core.Stats{},
-	}
-	if o.every <= 0 {
-		o.every = DefaultLatencySampling
 	}
 	if cfg.descentStats {
 		o.bitsStats = &bitstrie.Stats{}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	lockfreetrie "repro"
+	"repro/internal/adapt"
 )
 
 // TestMetricsSnapshotCountsOps: the ops.* counters count exactly the
@@ -64,10 +65,11 @@ func TestMetricsSnapshotCountsOps(t *testing.T) {
 // TestLatencySamplingRecords: with cadence 1 every op is timed, so the
 // histograms carry exactly the op counts; the core gauges move too.
 func TestLatencySamplingRecords(t *testing.T) {
-	tr, err := lockfreetrie.New(1<<10, lockfreetrie.WithLatencySampling(1))
+	tr, err := lockfreetrie.New(1 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
+	lockfreetrie.SetLatencySampling(tr, 1)
 	for i := int64(0); i < 50; i++ {
 		if err := tr.Insert(i); err != nil {
 			t.Fatal(err)
@@ -126,13 +128,6 @@ func TestWithoutObservabilityStripsEverything(t *testing.T) {
 
 // TestObservabilityOptionValidation: the option conflicts error loudly.
 func TestObservabilityOptionValidation(t *testing.T) {
-	if _, err := lockfreetrie.New(1<<10, lockfreetrie.WithLatencySampling(0)); err == nil {
-		t.Error("WithLatencySampling(0) accepted")
-	}
-	if _, err := lockfreetrie.New(1<<10,
-		lockfreetrie.WithoutObservability(), lockfreetrie.WithLatencySampling(8)); err == nil {
-		t.Error("WithoutObservability + WithLatencySampling accepted")
-	}
 	if _, err := lockfreetrie.New(1<<10,
 		lockfreetrie.WithoutObservability(), lockfreetrie.WithDescentStats()); err == nil {
 		t.Error("WithoutObservability + WithDescentStats accepted")
@@ -182,11 +177,11 @@ func TestEventsCaptureAdaptiveFlipAndResize(t *testing.T) {
 		// Aggressive tuning so the flip lands within the burst even on a
 		// single-P host: sample every 4 ops, enable at a sustained ~1.5
 		// concurrent publishers, flip after one sample of dwell.
-		lockfreetrie.WithAdaptiveCombining(lockfreetrie.AdaptiveConfig{
-			SampleEvery:      4,
-			EnableThreshold:  1.5,
-			DisableThreshold: 0.5,
-			MinDwellSamples:  1,
+		lockfreetrie.WithAdaptiveTuning(adapt.Config{
+			SampleEvery: 4,
+			Enable:      1.5,
+			Disable:     0.5,
+			MinDwell:    1,
 		}),
 	)
 	if err != nil {

@@ -49,19 +49,6 @@ func TestWithPlacementHintValidation(t *testing.T) {
 	}
 }
 
-// TestWithPlacementHintRelaxedRejected: NewRelaxed rejects even a valid
-// hint, naming the option — without a combining layer there are no
-// publication slots for a hint to shape.
-func TestWithPlacementHintRelaxedRejected(t *testing.T) {
-	for _, hint := range [][]int{{0}, {0, 1, 2, 3}} {
-		_, err := lockfreetrie.NewRelaxed(1024, lockfreetrie.WithShards(len(hint)),
-			lockfreetrie.WithPlacementHint(hint))
-		if err == nil || !strings.Contains(err.Error(), "WithPlacementHint") {
-			t.Fatalf("hint %v: NewRelaxed with WithPlacementHint: %v, want a rejection naming the option", hint, err)
-		}
-	}
-}
-
 func TestWithPlacementHintAccessor(t *testing.T) {
 	plain, err := lockfreetrie.New(1024, lockfreetrie.WithShards(4), lockfreetrie.WithCombining())
 	if err != nil {

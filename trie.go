@@ -47,7 +47,6 @@ package lockfreetrie
 
 import (
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -73,29 +72,28 @@ func (e *KeyRangeError) Error() string {
 	return fmt.Sprintf("lockfreetrie: key %d outside universe [0, %d)", e.Key, e.Universe)
 }
 
-// config collects the functional options of New and NewRelaxed.
+// config collects the functional options of New.
 type config struct {
-	shards         int
-	shardsSet      bool
-	combining      bool
-	adaptive       bool
+	shards    int
+	shardsSet bool
+	combining bool
+	adaptive  bool
+	// acfg is the adaptive controllers' tuning; the zero value (every
+	// public configuration) selects the defaults.
 	acfg           adapt.Config
 	adaptiveShards bool
 	minShards      int
 	maxShards      int
-	noCompress     bool
 	placement      []int
 	placementSet   bool
-	// Observability options (obs.go). latEvery 0 selects the default
-	// sampling cadence.
+	// Observability options (obs.go).
 	obsOff       bool
-	latEvery     int64
 	descentStats bool
 	// Durability (durability.go); nil = in-memory only.
 	dur *durConfig
 }
 
-// Option configures New and NewRelaxed.
+// Option configures New.
 type Option func(*config) error
 
 // WithShards partitions the universe into k contiguous shards, each an
@@ -104,8 +102,8 @@ type Option func(*config) error
 // empty shards. k must be a power of two; the padded universe must leave
 // every shard at least two keys wide. k = 1 (the default) is a one-shard
 // table: the paper's single trie behind the table's occupancy counters,
-// with the table's stitching never taken. New and NewRelaxed build every
-// trie this way, so k = 1 is not a separate code path.
+// with the table's stitching never taken. New builds every trie this
+// way, so k = 1 is not a separate code path.
 //
 // Sharding trades the predecessor fast path for update scalability:
 // operations on different shards touch disjoint cache lines, while a
@@ -179,23 +177,6 @@ func WithAdaptiveShards(min, max int) Option {
 	}
 }
 
-// WithoutCompressedDescents disables the cache-compressed trie descents:
-// Predecessor/Successor walk the dense node array instead of consulting
-// the per-64-node occupancy summary words that let them skip empty
-// subtrie regions in one load (internal/bitstrie, DESIGN.md
-// §Cache-compressed descents). The summaries are advisory — every answer
-// is identical either way — so the only reason to turn them off is
-// measurement: triebench's cc1 experiment uses this switch to embed the
-// uncompressed baseline. Composes with every other option; under
-// WithAdaptiveShards every partition the trie migrates to inherits the
-// setting.
-func WithoutCompressedDescents() Option {
-	return func(c *config) error {
-		c.noCompress = true
-		return nil
-	}
-}
-
 // WithCombining routes Insert and Delete through a per-shard flat-combining
 // layer (internal/combine): concurrent updates on the same shard publish to
 // a fixed array of padded publication slots, one goroutine elects itself
@@ -203,8 +184,6 @@ func WithoutCompressedDescents() Option {
 // batch entrypoint — announcing once per batch on the shard's U-ALL/RU-ALL
 // instead of once per operation. Composes with WithShards (each shard gets
 // its own combiner; the default one-shard table has one global combiner).
-// NewRelaxed rejects it: the relaxed trie has no announcement lists to
-// amortize, and the handoff would give up its per-op wait-freedom.
 //
 // Trade-offs: queries and the explicit ApplyBatch are untouched, and the
 // underlying trie stays lock-free — an update the current combiner has not
@@ -223,56 +202,25 @@ func WithCombining() Option {
 	}
 }
 
-// AdaptiveConfig tunes WithAdaptiveCombining. The zero value of every
-// field selects a default tuned from the CB1/AD1 trajectory data
-// (BENCH_combine.json, BENCH_adaptive.json: clustered workloads drain
-// 6.8–16 ops per combining round and park 7–15 concurrent publishers per
-// shard, thin-spread ones ~1 and 0–4, so the default hysteresis band
-// [1.4, 4.0] separates the regimes with margin on both sides).
-type AdaptiveConfig struct {
-	// SampleEvery is the number of updates between signal samples per
-	// shard (default 128).
-	SampleEvery int
-	// EnableThreshold is the contention estimate — the batch size a
-	// combining round would drain, inferred from announced and in-flight
-	// concurrent updates — at which a shard switches its updates to the
-	// combining layer (default 4.0; deliberately conservative, because a
-	// wrong enable is hard to detect from inside — see DESIGN.md
-	// §Adaptive combining).
-	EnableThreshold float64
-	// DisableThreshold is the observed batch-size EWMA at which a
-	// combining shard switches back to direct publication (default 1.4).
-	// Must be below EnableThreshold; the gap is the hysteresis band.
-	DisableThreshold float64
-	// RetractRateDisable is the fraction of submissions escaping a busy
-	// combiner (retraction rate) that disables combining regardless of
-	// batch sizes (default 0.5).
-	RetractRateDisable float64
-	// SmoothingAlpha is the EWMA weight of the newest signal observation,
-	// in (0, 1] (default 0.4). Higher values react to regime changes in
-	// fewer samples; lower values demand more sustained evidence before a
-	// flip.
-	SmoothingAlpha float64
-	// MinDwellSamples is the minimum number of samples a shard stays in
-	// a mode before it may flip again (default 4).
-	MinDwellSamples int
-	// StartCombining selects each shard's initial mode (default:
-	// direct).
-	StartCombining bool
-}
-
 // WithAdaptiveCombining is WithCombining with the decision moved from
 // construction time to runtime, per shard: every shard gets publication
 // slots AND a controller that samples the shard's contention signals
 // (announcement-list length and in-flight updates while direct; drained
 // batch size, combiner-election contention and retraction pressure while
-// combining) every SampleEvery updates and flips an atomic mode word the
-// update path reads on every operation. Enable and disable use distinct
+// combining) every 128 updates and flips an atomic mode word the update
+// path reads on every operation. Enable and disable use distinct
 // thresholds plus a minimum dwell, so workloads wandering near one
 // threshold do not thrash, and operations in flight across a flip stay
 // linearizable — the mode word is advisory routing over two publication
 // paths that are already safe concurrently (DESIGN.md §Adaptive
 // combining).
+//
+// The controller runs internal/adapt's defaults, tuned from the CB1/AD1
+// trajectory data (BENCH_combine.json, BENCH_adaptive.json): clustered
+// workloads drain 6.8–16 ops per combining round and park 7–15
+// concurrent publishers per shard, thin-spread ones ~1 and 0–4, so the
+// hysteresis band [1.4, 4.0] separates the regimes with margin on both
+// sides. Every shard starts in direct mode.
 //
 // Use it when the update clustering is unknown or varies: a shard that
 // stays thin keeps the direct path's throughput (the AD1 experiment gates
@@ -280,62 +228,11 @@ type AdaptiveConfig struct {
 // converges to the combining path's (≥ 0.9× always-on combining on
 // clustered mixes, BENCH_adaptive.json). With a KNOWN stable workload the
 // static choices — WithCombining() or nothing — avoid the sampling tax
-// and the convergence transient. At most one AdaptiveConfig may be given;
-// none selects the tuned defaults. Overrides WithCombining when both are
-// set. Composes with WithShards exactly as WithCombining does; NewRelaxed
-// rejects it, as it does WithCombining.
-func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
+// and the convergence transient. Overrides WithCombining when both are
+// set. Composes with WithShards exactly as WithCombining does.
+func WithAdaptiveCombining() Option {
 	return func(c *config) error {
-		if len(cfg) > 1 {
-			return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: at most one AdaptiveConfig, got %d", len(cfg))
-		}
 		c.adaptive = true
-		if len(cfg) == 1 {
-			a := cfg[0]
-			// Out-of-domain values error loudly rather than silently
-			// coercing to defaults — a controller running with tuning the
-			// caller did not ask for is worse than a construction error.
-			// The checks are phrased as !(in-range) so NaN (for which
-			// every ordered comparison is false, including the clamps
-			// further down) is rejected too.
-			if !(a.SmoothingAlpha >= 0 && a.SmoothingAlpha <= 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: SmoothingAlpha %v outside (0, 1]", a.SmoothingAlpha)
-			}
-			if !(a.RetractRateDisable >= 0 && a.RetractRateDisable <= 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: RetractRateDisable %v outside (0, 1] (it is compared against a rate)", a.RetractRateDisable)
-			}
-			if a.SampleEvery < 0 || a.MinDwellSamples < 0 {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: SampleEvery %d and MinDwellSamples %d must not be negative",
-					a.SampleEvery, a.MinDwellSamples)
-			}
-			if !(a.EnableThreshold >= 0) || !(a.DisableThreshold >= 0) ||
-				math.IsInf(a.EnableThreshold, 1) || math.IsInf(a.DisableThreshold, 1) {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: thresholds must be finite and non-negative")
-			}
-			// Validate the band against the EFFECTIVE values, so setting
-			// one threshold against the other's default errors just as
-			// loudly as setting both inconsistently.
-			en, dis := a.EnableThreshold, a.DisableThreshold
-			if en == 0 {
-				en = adapt.DefaultEnable
-			}
-			if dis == 0 {
-				dis = adapt.DefaultDisable
-			}
-			if dis >= en {
-				return fmt.Errorf("lockfreetrie: WithAdaptiveCombining: DisableThreshold %v (default %v) must be below EnableThreshold %v (default %v)",
-					dis, adapt.DefaultDisable, en, adapt.DefaultEnable)
-			}
-			c.acfg = adapt.Config{
-				SampleEvery:    int64(a.SampleEvery),
-				Alpha:          a.SmoothingAlpha,
-				Enable:         a.EnableThreshold,
-				Disable:        a.DisableThreshold,
-				RetractDisable: a.RetractRateDisable,
-				MinDwell:       int64(a.MinDwellSamples),
-				StartCombining: a.StartCombining,
-			}
-		}
 		return nil
 	}
 }
@@ -359,8 +256,7 @@ func WithAdaptiveCombining(cfg ...AdaptiveConfig) Option {
 // WithCombining or WithAdaptiveCombining — placement shapes publication
 // slots, and without a combining layer there are none — and is
 // incompatible with WithAdaptiveShards, whose migrations re-partition
-// the very key ranges a hint pins. NewRelaxed rejects it: the relaxed trie
-// has no combining layer, so there are no publication slots to shape.
+// the very key ranges a hint pins.
 func WithPlacementHint(owners []int) Option {
 	return func(c *config) error {
 		if len(owners) == 0 {
@@ -373,7 +269,7 @@ func WithPlacementHint(owners []int) Option {
 }
 
 // validatePlacement checks the placement hint against the rest of the
-// resolved configuration (New; NewRelaxed rejects any hint).
+// resolved configuration.
 func (c *config) validatePlacement() error {
 	if !c.placementSet {
 		return nil
@@ -435,9 +331,9 @@ func (c *config) resizeBounds() (initial int, err error) {
 // shardedFactory builds the table constructor behind every Trie: New
 // calls it once, and under WithAdaptiveShards the resize layer calls it
 // again for every partition it migrates to. Each table carries the
-// combining/adaptive/placement/descent configuration and, with
-// observability on, is instrumented while still private (the attach
-// points are plain stores).
+// combining/adaptive/placement configuration and, with observability
+// on, is instrumented while still private (the attach points are plain
+// stores).
 func (c *config) shardedFactory(universe int64, o *obsState) func(k int) (*sharded.Trie, error) {
 	opts := sharded.Options{Combining: c.combining, Placement: c.placement}
 	if c.adaptive {
@@ -449,16 +345,23 @@ func (c *config) shardedFactory(universe int64, o *obsState) func(k int) (*shard
 		if err != nil {
 			return nil, err
 		}
-		if c.noCompress {
-			for i := 0; i < t.Shards(); i++ {
-				t.Shard(i).Bits().SetCompressedDescents(false)
-			}
-		}
 		if o != nil {
 			o.instrumentSharded(t)
 		}
 		return t, nil
 	}
+}
+
+// checkUniverse enforces the universe bounds of New and NewRelaxed
+// before anything is allocated, naming the caller's value: the layers
+// below see only the padded size, and each shard checks only its own
+// width, so without this a sharded table over more than MaxUniverse
+// keys would pass every per-shard check.
+func checkUniverse(universe int64) error {
+	if universe < 2 || universe > MaxUniverse {
+		return fmt.Errorf("lockfreetrie: universe %d outside [2, %d]", universe, MaxUniverse)
+	}
+	return nil
 }
 
 // New returns an empty trie over the universe {0,…,universe−1}. universe
@@ -471,6 +374,9 @@ func (c *config) shardedFactory(universe int64, o *obsState) func(k int) (*shard
 // across k independent tries, and WithAdaptiveShards puts the table
 // behind the online resize layer.
 func New(universe int64, opts ...Option) (*Trie, error) {
+	if err := checkUniverse(universe); err != nil {
+		return nil, err
+	}
 	cfg := config{shards: 1}
 	for _, opt := range opts {
 		if err := opt(&cfg); err != nil {
@@ -616,8 +522,8 @@ func (t *Trie) check(x int64) error {
 //
 // The primitive entrypoints (Contains, Insert, Delete, Predecessor,
 // Successor, ApplyBatch) each pay one striped counter increment for the
-// ops.* metrics, and every WithLatencySampling-th operation is timed into
-// the latency.*_ns histograms; composed operations (Floor, Max, Range,
+// ops.* metrics, and every DefaultLatencySampling-th operation is timed
+// into the latency.*_ns histograms; composed operations (Floor, Max, Range,
 // Keys, …) run their legs through the backend directly and are not
 // separately counted. WithoutObservability removes all of it.
 func (t *Trie) Contains(x int64) (bool, error) {

@@ -2,6 +2,9 @@ package lockfreetrie_test
 
 import (
 	"errors"
+	"math/rand"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -18,6 +21,52 @@ func TestNewValidation(t *testing.T) {
 	}
 	if tr.Universe() != 1024 {
 		t.Errorf("Universe = %d, want 1024", tr.Universe())
+	}
+}
+
+// TestUniverseBoundEveryShardCount: MaxUniverse holds at every shard
+// count and for the relaxed trie, and the error names the caller's
+// universe rather than a padded or per-shard size. Without the facade
+// check, each shard of a sharded table validated only its own width, so
+// k ≥ 2 went on to allocate Θ(universe) past the bound.
+func TestUniverseBoundEveryShardCount(t *testing.T) {
+	const over = lockfreetrie.MaxUniverse + 1
+	cases := []struct {
+		name     string
+		universe int64
+		build    func(u int64) error
+	}{
+		{"k=1", over, func(u int64) error {
+			_, err := lockfreetrie.New(u)
+			return err
+		}},
+		{"WithShards(2)", 2 * lockfreetrie.MaxUniverse, func(u int64) error {
+			_, err := lockfreetrie.New(u, lockfreetrie.WithShards(2), lockfreetrie.WithoutObservability())
+			return err
+		}},
+		{"WithShards(2),MaxUniverse+1", over, func(u int64) error {
+			_, err := lockfreetrie.New(u, lockfreetrie.WithShards(2))
+			return err
+		}},
+		{"WithAdaptiveShards(2,4)", 2 * lockfreetrie.MaxUniverse, func(u int64) error {
+			_, err := lockfreetrie.New(u, lockfreetrie.WithAdaptiveShards(2, 4))
+			return err
+		}},
+		{"NewRelaxed", over, func(u int64) error {
+			_, err := lockfreetrie.NewRelaxed(u)
+			return err
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.build(tc.universe)
+			if err == nil {
+				t.Fatalf("universe %d accepted (MaxUniverse %d)", tc.universe, lockfreetrie.MaxUniverse)
+			}
+			if want := strconv.FormatInt(tc.universe, 10); !strings.Contains(err.Error(), want) {
+				t.Fatalf("error %q does not name the caller's universe %s", err, want)
+			}
+		})
 	}
 }
 
@@ -47,9 +96,6 @@ func TestOptionsValidation(t *testing.T) {
 	}
 	if _, err := lockfreetrie.New(4, lockfreetrie.WithShards(4)); err == nil {
 		t.Error("WithShards(4) over universe 4 accepted (width < 2)")
-	}
-	if _, err := lockfreetrie.NewRelaxed(64, lockfreetrie.WithShards(3)); err == nil {
-		t.Error("relaxed WithShards(3) accepted (not a power of two)")
 	}
 }
 
@@ -85,29 +131,6 @@ func TestShardedFacadeLifecycle(t *testing.T) {
 	tr.Delete(10)
 	if got, _ := tr.Max(); got != -1 {
 		t.Errorf("Max on empty = %d, want -1", got)
-	}
-}
-
-// TestShardedRelaxedFacade drives the sharded relaxed backend through the
-// public API at quiescence.
-func TestShardedRelaxedFacade(t *testing.T) {
-	tr, err := lockfreetrie.NewRelaxed(64, lockfreetrie.WithShards(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Shards() != 8 {
-		t.Errorf("Shards = %d, want 8", tr.Shards())
-	}
-	tr.Insert(5)
-	tr.Insert(40)
-	if pred, ok, err := tr.Predecessor(40); err != nil || !ok || pred != 5 {
-		t.Errorf("Predecessor(40) = (%d,%v,%v), want (5,true,nil)", pred, ok, err)
-	}
-	if succ, ok, err := tr.Successor(5); err != nil || !ok || succ != 40 {
-		t.Errorf("Successor(5) = (%d,%v,%v), want (40,true,nil)", succ, ok, err)
-	}
-	if _, _, err := tr.Successor(99); err == nil {
-		t.Error("Successor(99) should fail")
 	}
 }
 
@@ -241,6 +264,9 @@ func TestRelaxedFacade(t *testing.T) {
 	if _, _, err := tr.Predecessor(99); err == nil {
 		t.Error("Predecessor(99) should fail")
 	}
+	if _, _, err := tr.Successor(99); err == nil {
+		t.Error("Successor(99) should fail")
+	}
 	if err := tr.Insert(-1); err == nil {
 		t.Error("Insert(-1) should fail")
 	}
@@ -320,20 +346,82 @@ func TestLenFacadeQuiescentAfterConcurrency(t *testing.T) {
 
 // TestRelaxedLenFacade mirrors TestLenFacade for the relaxed trie.
 func TestRelaxedLenFacade(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		tr, err := lockfreetrie.NewRelaxed(256, lockfreetrie.WithShards(shards))
+	tr, err := lockfreetrie.NewRelaxed(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.Len(); got != 0 {
+		t.Fatalf("empty relaxed Len = %d", got)
+	}
+	for k := int64(0); k < 60; k++ {
+		tr.Insert(k)
+	}
+	tr.Insert(10) // duplicate: must not double-count
+	for k := int64(0); k < 20; k++ {
+		tr.Delete(k)
+	}
+	tr.Delete(3) // absent: no-op
+	if got := tr.Len(); got != 40 {
+		t.Fatalf("relaxed Len = %d, want 40", got)
+	}
+}
+
+// TestRelaxedQuiescentOracle: after a random update history, every key's
+// Contains, Predecessor and Successor match a map oracle exactly — at
+// quiescence the §4.1 contract allows neither abstention nor an inexact
+// answer.
+func TestRelaxedQuiescentOracle(t *testing.T) {
+	const u = int64(512)
+	tr, err := lockfreetrie.NewRelaxed(u)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	ref := map[int64]bool{}
+	for i := 0; i < 300; i++ {
+		k := rng.Int63n(u)
+		if rng.Intn(3) == 0 {
+			tr.Delete(k)
+			delete(ref, k)
+		} else {
+			tr.Insert(k)
+			ref[k] = true
+		}
+	}
+	want := int64(-1)
+	for x := int64(0); x < u; x++ {
+		got, err := tr.Contains(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := int64(0); k < 60; k++ {
-			tr.Insert(k)
+		if got != ref[x] {
+			t.Fatalf("Contains(%d) = %v, want %v", x, got, ref[x])
 		}
-		tr.Insert(10)
-		for k := int64(0); k < 20; k++ {
-			tr.Delete(k)
+		p, ok, err := tr.Predecessor(x)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got := tr.Len(); got != 40 {
-			t.Fatalf("shards=%d: relaxed Len = %d, want 40", shards, got)
+		if !ok || p != want {
+			t.Fatalf("Predecessor(%d) = (%d, %v), want (%d, true)", x, p, ok, want)
 		}
+		if ref[x] {
+			want = x
+		}
+	}
+	want = -1
+	for x := u - 1; x >= 0; x-- {
+		s, ok, err := tr.Successor(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok || s != want {
+			t.Fatalf("Successor(%d) = (%d, %v), want (%d, true)", x, s, ok, want)
+		}
+		if ref[x] {
+			want = x
+		}
+	}
+	if got := tr.Len(); got != int64(len(ref)) {
+		t.Fatalf("Len = %d, want %d", got, len(ref))
 	}
 }
