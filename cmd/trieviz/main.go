@@ -109,13 +109,14 @@ func renderLockFree(u int64, keys []int64) error {
 	printLevels(tr.B(), func(i int64) string {
 		return strconv.Itoa(bits.InterpretedBit(i))
 	})
+	// The trie is quiescent, so the head of every latest list is its first
+	// activated node.
 	fmt.Println("\nlatest lists (first activated node per key):")
+	latest := bits.Latest()
 	for k := int64(0); k < tr.U(); k++ {
-		state := "DEL (never inserted)"
-		if tr.Search(k) {
-			state = "INS"
-		} else if d := bits.DNodePtr(bits.LeafIndex(k)); d != nil {
-			state = d.String()
+		state := "untouched (virtual dummy DEL)"
+		if n := latest[k].Load(); n != nil {
+			state = n.String()
 		}
 		fmt.Printf("  latest[%d] -> %s\n", k, state)
 	}

@@ -388,14 +388,17 @@ func TestDurableHeapNoShadowCopy(t *testing.T) {
 		t.Skip("fills two 2^22-universe tries (about a minute under -race); a heap measurement, not a concurrency test")
 	}
 	const u, n, chunk = 1 << 22, 1 << 18, 1024
-	heapInuse := func() uint64 {
+	// Live bytes after a full GC, not HeapInuse: spans that earlier tests
+	// left partly free count as in use before a fill and are then filled
+	// by it, so a HeapInuse delta under-reads a fill by up to their size.
+	liveHeap := func() uint64 {
 		runtime.GC()
 		var m runtime.MemStats
 		runtime.ReadMemStats(&m)
-		return m.HeapInuse
+		return m.HeapAlloc
 	}
 	fill := func(opts ...lockfreetrie.Option) uint64 {
-		base := heapInuse()
+		base := liveHeap()
 		tr, err := lockfreetrie.New(u, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -410,7 +413,7 @@ func TestDurableHeapNoShadowCopy(t *testing.T) {
 				t.Fatalf("ApplyBatch: %v", errs)
 			}
 		}
-		held := heapInuse() - base
+		held := liveHeap() - base
 		runtime.KeepAlive(tr)
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
@@ -421,7 +424,7 @@ func TestDurableHeapNoShadowCopy(t *testing.T) {
 	dur := fill(lockfreetrie.WithDurability(t.TempDir(),
 		lockfreetrie.WithSyncEvery(1024), lockfreetrie.WithSnapshotBytes(-1)))
 	ratio := float64(dur) / float64(mem)
-	t.Logf("heap in use: in-memory %.1f MB, durable %.1f MB, ratio %.3f", float64(mem)/1e6, float64(dur)/1e6, ratio)
+	t.Logf("live heap: in-memory %.1f MB, durable %.1f MB, ratio %.3f", float64(mem)/1e6, float64(dur)/1e6, ratio)
 	if ratio > 1.10 {
 		t.Fatalf("durable heap %.1f MB is %.3f× the in-memory %.1f MB, want ≤ 1.10×",
 			float64(dur)/1e6, ratio, float64(mem)/1e6)

@@ -9,10 +9,24 @@
 // implementation of these helper functions ... will be replaced with a
 // different implementation when we consider the lock-free binary trie").
 //
-// Trie layout: the paper's arrays D_0..D_b form a perfect binary tree; we
-// store them heap-indexed in one slice (index 1 = root, children 2i/2i+1,
-// leaf for key x at 2^b + x). A node's height is b − depth, computable from
-// the index, so a trie node is exactly one atomic pointer: dNodePtr.
+// Trie layout: the paper's arrays D_0..D_b form a perfect binary tree whose
+// nodes keep their heap indices (index 1 = root, children 2i/2i+1, leaf for
+// key x at 2^b + x). A node's height is b − depth, computable from the
+// index, so a trie node is exactly one atomic pointer: dNodePtr. The
+// pointers share one allocation with the per-key latest[] slots of the
+// trie that owns the engine, in three regions:
+//
+//   - internal nodes of height ≥ 6, in heap order;
+//   - one 64-slot (512-byte) block per 64-key range, holding the range's 62
+//     internal nodes of heights 1–5 in local heap order (2 pad slots), so
+//     the bottom five levels of a walk touch one chunk of eight cache lines
+//     on one page instead of five scattered lines;
+//   - latest[0..2^b), contiguous.
+//
+// slot maps a heap index to its position; everything else works on heap
+// indices. Leaves have no slot: a leaf's dNodePtr is never written
+// (InsertBinaryTrie starts at the leaf's parent and DeleteBinaryTrie only
+// CASes parents), so the key a leaf depends on is always its own.
 package bitstrie
 
 import (
@@ -27,10 +41,11 @@ import (
 
 // Oracle resolves the latest-list operations the engine depends on.
 //
-// FindLatest returns the first activated update node in the latest[x] list;
-// it must materialize and return the dummy DEL node if no operation ever
-// updated x. FirstActivated reports whether n is currently the first
-// activated update node in latest[n.Key].
+// FindLatest returns the first activated update node in the latest[x] list,
+// or nil while latest[x] still holds the virtual dummy DEL node (no update
+// has touched x); it reads only and never allocates. FirstActivated reports
+// whether n is currently the first activated update node in latest[n.Key].
+// Both read the latest slots the engine owns (Latest).
 type Oracle interface {
 	FindLatest(x int64) *unode.UpdateNode
 	FirstActivated(n *unode.UpdateNode) bool
@@ -85,7 +100,14 @@ type Trie struct {
 	// selects the paper-literal traversals for the cc1 baseline).
 	compressed bool
 
-	nodes []trieNode // heap-indexed, len 2*size; index 0 unused
+	// cells is the one allocation behind the layout above: node slots
+	// first, then latest. topDepth is the depth of the block roots (the
+	// height-6 nodes, or the root when b < 6); block root r's 64 slots
+	// start at blockBase + 64r.
+	cells     []atomic.Pointer[unode.UpdateNode]
+	latest    []atomic.Pointer[unode.UpdateNode]
+	topDepth  int
+	blockBase int64
 
 	// summary[k] is the ever-inserted occupancy summary at granularity
 	// 64^k: bit g of level k is 1 iff some key in [g·64^k, (g+1)·64^k) has
@@ -99,10 +121,6 @@ type Trie struct {
 	summary []bitmap.Words
 }
 
-type trieNode struct {
-	dNodePtr atomic.Pointer[unode.UpdateNode]
-}
-
 // New builds the engine for a universe of u keys (u ≥ 2; rounded up to the
 // next power of two) using the given oracle.
 func New(u int64, oracle Oracle) (*Trie, error) {
@@ -114,12 +132,25 @@ func New(u int64, oracle Oracle) (*Trie, error) {
 	}
 	b := bits.Len64(uint64(u - 1))
 	size := int64(1) << uint(b)
+	topDepth := max(b-6, 0)
+	roots := int64(1) << uint(topDepth)
+	// The heap-order region holds every index of depth ≤ topDepth and is
+	// padded to whole blocks, so each block starts 512-byte aligned within
+	// the allocation.
+	top := max(2*roots, blockSlots)
+	nodes := top + roots*blockSlots
+	// One allocation, not one per region: a second multi-megabyte array
+	// makes the GC pacer start an extra cycle while a large trie fills.
+	cells := make([]atomic.Pointer[unode.UpdateNode], nodes+size)
 	t := &Trie{
 		b:          b,
 		size:       size,
 		oracle:     oracle,
 		compressed: true,
-		nodes:      make([]trieNode, 2*size),
+		cells:      cells,
+		latest:     cells[nodes:],
+		topDepth:   topDepth,
+		blockBase:  top - roots*blockSlots,
 	}
 	// Build the summary hierarchy: level 0 has one bit per key; each level
 	// above compresses 64 bits into one until a level fits one word.
@@ -161,7 +192,29 @@ func (t *Trie) B() int { return t.b }
 // U returns the padded universe size 2^b.
 func (t *Trie) U() int64 { return t.size }
 
+// Latest returns the per-key latest[] slots, latest[x] for 0 ≤ x < U(). A
+// nil slot is the virtual dummy DEL node: x was never updated. The trie
+// that owns the engine keeps its latest lists here.
+func (t *Trie) Latest() []atomic.Pointer[unode.UpdateNode] { return t.latest }
+
+// LatestOrDummy returns latest[x], first installing x's dummy DEL node if
+// the slot is still nil. Only updates (and InsertBinaryTrie, which must
+// lower a concrete node's boundary) materialize dummies; reads treat nil as
+// the dummy. The loser's allocation is dropped and the winner re-read, so
+// all processes agree.
+func (t *Trie) LatestOrDummy(x int64) *unode.UpdateNode {
+	if p := t.latest[x].Load(); p != nil {
+		return p
+	}
+	t.latest[x].CompareAndSwap(nil, unode.NewDummyDel(x, t.b))
+	return t.latest[x].Load()
+}
+
 // --- index arithmetic -------------------------------------------------------
+
+// blockSlots is the size of one low-level block: the 62 nodes of heights
+// 1–5 above a 64-key range, at local heap indices 2..63.
+const blockSlots = 64
 
 func (t *Trie) leafIndex(x int64) int64 { return t.size + x }
 func parent(i int64) int64              { return i >> 1 }
@@ -184,11 +237,30 @@ func (t *Trie) leftmostKey(i int64) int64 {
 	return (i << uint(t.height(i))) - t.size
 }
 
+// slot returns the position in cells of internal node i's dNodePtr.
+func (t *Trie) slot(i int64) int64 {
+	d := bits.Len64(uint64(i)) - 1 - t.topDepth // depth below the block root
+	if d <= 0 {
+		return i // height ≥ 6, or the root of a trie with b < 6: heap order
+	}
+	r := i >> uint(d) // block root
+	return t.blockBase + r*blockSlots + i - r<<uint(d) + 1<<uint(d)
+}
+
+// dNodePtr returns internal node i's dNodePtr.
+func (t *Trie) dNodePtr(i int64) *atomic.Pointer[unode.UpdateNode] {
+	return &t.cells[t.slot(i)]
+}
+
 // depKey returns the key whose latest list the interpreted bit of node i
 // depends on: dNodePtr's key, or the leftmost leaf key when dNodePtr is
-// still the initial (virtual dummy) nil.
+// still the initial (virtual dummy) nil. A leaf's dNodePtr is never written,
+// so a leaf depends on its own key.
 func (t *Trie) depKey(i int64) int64 {
-	if d := t.nodes[i].dNodePtr.Load(); d != nil {
+	if i >= t.size {
+		return i - t.size
+	}
+	if d := t.dNodePtr(i).Load(); d != nil {
 		return d.Key
 	}
 	return t.leftmostKey(i)
@@ -203,6 +275,11 @@ func (t *Trie) InterpretedBit(i int64) int {
 		t.stats.BitReads.Add(1)
 	}
 	uNode := t.oracle.FindLatest(t.depKey(i))
+	if uNode == nil {
+		// Virtual dummy DEL: upper0Boundary = b ≥ h, lower1Boundary = b+1 > h,
+		// and it is first activated while latest[x] is still nil.
+		return 0
+	}
 	if uNode.Kind == unode.Ins {
 		return 1
 	}
@@ -226,11 +303,17 @@ func (t *Trie) InterpretedBitOfLeaf(x int64) int { return t.InterpretedBit(t.lea
 // most b iterations with a constant number of steps each.
 func (t *Trie) InsertBinaryTrie(iNode *unode.UpdateNode) {
 	for i := parent(t.leafIndex(iNode.Key)); i >= 1; i = parent(i) {
-		uNode := t.oracle.FindLatest(t.depKey(i))
+		k := t.depKey(i)
+		uNode := t.oracle.FindLatest(k)
+		if uNode == nil {
+			// The MinWrite below needs a concrete DEL node to lower.
+			t.LatestOrDummy(k)
+			uNode = t.oracle.FindLatest(k)
+		}
 		if uNode.Kind != unode.Del {
 			continue
 		}
-		d := t.nodes[i].dNodePtr.Load()
+		d := t.dNodePtr(i).Load()
 		// Paper line 42. With a nil dNodePtr (virtual dummy), the second
 		// disjunct is true because a dummy has upper0Boundary = b ≥ height.
 		if d != uNode && t.height(i) > int(uNode.Upper0Boundary.Load()) {
@@ -263,7 +346,7 @@ func (t *Trie) DeleteBinaryTrie(dNode *unode.UpdateNode) {
 			return
 		}
 		i = parent(i)
-		d := t.nodes[i].dNodePtr.Load()
+		d := t.dNodePtr(i).Load()
 		if !t.oracle.FirstActivated(dNode) {
 			return
 		}
@@ -274,7 +357,7 @@ func (t *Trie) DeleteBinaryTrie(dNode *unode.UpdateNode) {
 			if t.singleCASAttempt {
 				return // A1 ablation: paper's first attempt only
 			}
-			d = t.nodes[i].dNodePtr.Load()
+			d = t.dNodePtr(i).Load()
 			if !t.oracle.FirstActivated(dNode) {
 				return
 			}
@@ -302,7 +385,7 @@ func (t *Trie) casDNodePtr(i int64, old, new *unode.UpdateNode, attempt int) boo
 	if t.stats != nil {
 		t.stats.CASAttempts.Add(1)
 	}
-	ok := t.nodes[i].dNodePtr.CompareAndSwap(old, new)
+	ok := t.dNodePtr(i).CompareAndSwap(old, new)
 	if !ok && t.stats != nil {
 		t.stats.CASFailures.Add(1)
 	}
@@ -649,11 +732,8 @@ func (t *Trie) relaxedSuccessorDense(y int64) (int64, bool) {
 	return t.leafKey(i), true
 }
 
-// DNodePtr exposes node i's dNodePtr for tests and trieviz.
-func (t *Trie) DNodePtr(i int64) *unode.UpdateNode { return t.nodes[i].dNodePtr.Load() }
-
-// LeafIndex exposes the leaf index of key x for tests and trieviz.
-func (t *Trie) LeafIndex(x int64) int64 { return t.leafIndex(x) }
+// DNodePtr exposes internal node i's dNodePtr for tests.
+func (t *Trie) DNodePtr(i int64) *unode.UpdateNode { return t.dNodePtr(i).Load() }
 
 // Height exposes the height of node index i for tests and trieviz.
 func (t *Trie) Height(i int64) int { return t.height(i) }

@@ -7,34 +7,22 @@ import (
 	"repro/internal/unode"
 )
 
-// scriptOracle is a deterministic oracle for white-box engine tests. latest
-// maps keys to update nodes; missing keys materialize dummies like the real
-// data structures do. notFirst marks nodes FirstActivated must reject.
+// scriptOracle is a deterministic oracle for white-box engine tests. The
+// latest lists are the engine's own slots, one node each, like the relaxed
+// trie's; an untouched slot is the virtual dummy. notFirst marks nodes
+// FirstActivated must reject.
 type scriptOracle struct {
 	mu       sync.Mutex
-	b        int
-	tr       *Trie // for the MarkEverInserted publication contract
-	latest   map[int64]*unode.UpdateNode
+	tr       *Trie
 	notFirst map[*unode.UpdateNode]bool
 }
 
-func newScriptOracle(b int) *scriptOracle {
-	return &scriptOracle{
-		b:        b,
-		latest:   make(map[int64]*unode.UpdateNode),
-		notFirst: make(map[*unode.UpdateNode]bool),
-	}
+func newScriptOracle() *scriptOracle {
+	return &scriptOracle{notFirst: make(map[*unode.UpdateNode]bool)}
 }
 
 func (o *scriptOracle) FindLatest(x int64) *unode.UpdateNode {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if n, ok := o.latest[x]; ok {
-		return n
-	}
-	d := unode.NewDummyDel(x, o.b)
-	o.latest[x] = d
-	return d
+	return o.tr.Latest()[x].Load()
 }
 
 func (o *scriptOracle) FirstActivated(n *unode.UpdateNode) bool {
@@ -43,19 +31,17 @@ func (o *scriptOracle) FirstActivated(n *unode.UpdateNode) bool {
 	if o.notFirst[n] {
 		return false
 	}
-	return o.latest[n.Key] == n
+	return o.tr.Latest()[n.Key].Load() == n
 }
 
 func (o *scriptOracle) set(x int64, n *unode.UpdateNode) {
 	// Honor the summary publication contract the real tries follow: a
 	// winning insert marks the key ever-inserted before it can become the
 	// first activated node of latest[x].
-	if n.Kind == unode.Ins && o.tr != nil {
+	if n.Kind == unode.Ins {
 		o.tr.MarkEverInserted(x)
 	}
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	o.latest[x] = n
+	o.tr.Latest()[x].Store(n)
 }
 
 func (o *scriptOracle) markOutdated(n *unode.UpdateNode) {
@@ -66,20 +52,17 @@ func (o *scriptOracle) markOutdated(n *unode.UpdateNode) {
 
 func newEngine(t *testing.T, u int64) (*Trie, *scriptOracle) {
 	t.Helper()
-	// b from the rounded universe; build oracle first with a provisional b,
-	// then fix it after New reports the real b.
-	o := newScriptOracle(0)
+	o := newScriptOracle()
 	tr, err := New(u, o)
 	if err != nil {
 		t.Fatalf("New(%d): %v", u, err)
 	}
-	o.b = tr.B()
 	o.tr = tr
 	return tr, o
 }
 
 func TestNewValidation(t *testing.T) {
-	o := newScriptOracle(2)
+	o := newScriptOracle()
 	if _, err := New(1, o); err == nil {
 		t.Error("New(1) should fail")
 	}
@@ -162,7 +145,7 @@ func TestInterpretedBitCases(t *testing.T) {
 	if got := tr.InterpretedBit(leaf0); got != 0 {
 		t.Errorf("fresh DEL leaf bit = %d, want 0", got)
 	}
-	tr.nodes[node2].dNodePtr.Store(dNode)
+	tr.dNodePtr(node2).Store(dNode)
 	if got := tr.InterpretedBit(node2); got != 1 {
 		t.Errorf("internal bit with u0b=0 = %d, want 1 (h=1 > u0b)", got)
 	}
@@ -181,7 +164,7 @@ func TestInterpretedBitCases(t *testing.T) {
 	dNode2 := unode.NewDel(1, tr.B())
 	dNode2.Upper0Boundary.Store(1)
 	o.set(1, dNode2)
-	tr.nodes[node2].dNodePtr.Store(dNode2)
+	tr.dNodePtr(node2).Store(dNode2)
 	o.markOutdated(dNode2)
 	if got := tr.InterpretedBit(node2); got != 1 {
 		t.Errorf("outdated DEL bit = %d, want 1", got)
@@ -200,9 +183,9 @@ func figure2Setup(t *testing.T) (*Trie, *scriptOracle, *unode.UpdateNode, *unode
 	d3.Upper0Boundary.Store(2)
 	o.set(0, d0)
 	o.set(3, d3)
-	tr.nodes[2].dNodePtr.Store(d0)
-	tr.nodes[3].dNodePtr.Store(d3)
-	tr.nodes[1].dNodePtr.Store(d3)
+	tr.dNodePtr(2).Store(d0)
+	tr.dNodePtr(3).Store(d3)
+	tr.dNodePtr(1).Store(d3)
 	for idx := int64(1); idx < 8; idx++ {
 		if got := tr.InterpretedBit(idx); got != 0 {
 			t.Fatalf("setup: bit(%d) = %d, want 0", idx, got)
@@ -361,7 +344,7 @@ func TestSecondCASAttemptRescue(t *testing.T) {
 			injected = true
 			// dOld wakes up exactly before dNew's first CAS and installs
 			// itself (it passed its own checks before stalling).
-			if !tr.nodes[2].dNodePtr.CompareAndSwap(nil, dOld) {
+			if !tr.dNodePtr(2).CompareAndSwap(nil, dOld) {
 				t.Error("outdated CAS injection failed")
 			}
 		}
@@ -402,7 +385,7 @@ func TestSingleCASAttemptLeavesStaleBit(t *testing.T) {
 	tr.SetBeforeCASHook(func(node int64, attempt int) {
 		if node == 2 && attempt == 1 && !injected {
 			injected = true
-			tr.nodes[2].dNodePtr.CompareAndSwap(nil, dOld)
+			tr.dNodePtr(2).CompareAndSwap(nil, dOld)
 		}
 	})
 	tr.DeleteBinaryTrie(dNew)
@@ -522,5 +505,40 @@ func TestWaitFreeStepBound(t *testing.T) {
 	bound := ops * 3 * 4 * (b + 1)
 	if got := stats.BitReads.Load(); got > bound {
 		t.Errorf("BitReads = %d exceeds wait-free bound %d", got, bound)
+	}
+}
+
+// TestSlotBijection: slot maps the internal nodes of every trie height to
+// distinct in-range positions below the latest region, and packs the nodes
+// of heights 1–5 above each 64-key range into one 512-byte-aligned block.
+func TestSlotBijection(t *testing.T) {
+	for b := 1; b <= 20; b++ {
+		tr, _ := newEngine(t, int64(1)<<b)
+		latestOff := int64(len(tr.cells) - len(tr.latest))
+		if int64(len(tr.latest)) != tr.U() {
+			t.Fatalf("b=%d: %d latest slots, want %d", b, len(tr.latest), tr.U())
+		}
+		if &tr.cells[latestOff] != &tr.latest[0] {
+			t.Fatalf("b=%d: latest is not the tail of the node allocation", b)
+		}
+		used := make([]bool, latestOff)
+		for i := int64(1); i < tr.U(); i++ {
+			s := tr.slot(i)
+			if s < 1 || s >= latestOff {
+				t.Fatalf("b=%d: slot(%d) = %d outside the node region [1, %d)", b, i, s, latestOff)
+			}
+			if used[s] {
+				t.Fatalf("b=%d: slot(%d) = %d is taken twice", b, i, s)
+			}
+			used[s] = true
+			if h := tr.height(i); h < 5 && h < b-1 {
+				if tr.slot(parent(i))/blockSlots != s/blockSlots {
+					t.Fatalf("b=%d: node %d (height %d) and its parent are in different blocks", b, i, h)
+				}
+			}
+		}
+		if tr.blockBase%blockSlots != 0 {
+			t.Fatalf("b=%d: blockBase %d is not block-aligned", b, tr.blockBase)
+		}
 	}
 }

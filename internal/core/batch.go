@@ -129,13 +129,15 @@ func (t *Trie) ApplyBatch(ops []BatchOp) {
 	// phase-3 CAS will expect. Unpinned, like the per-op fast path.
 	for i := range ops {
 		ops[i].Won = false
-		cur := t.findLatest(ops[i].Key)
+		var cur *unode.UpdateNode
 		if ops[i].Del {
-			if cur.Kind != unode.Ins {
+			cur = t.findLatest(ops[i].Key)
+			if cur == nil || cur.Kind != unode.Ins {
 				continue // absent: Delete is a no-op
 			}
 			b.nodes = append(b.nodes, unode.NewDel(ops[i].Key, t.b))
 		} else {
+			cur = t.findLatestOrDummy(ops[i].Key)
 			if cur.Kind != unode.Del {
 				continue // present: Insert is a no-op
 			}

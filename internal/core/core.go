@@ -92,7 +92,7 @@ func New(u int64) (*Trie, error) {
 	}
 	t.b = bt.B()
 	t.u = bt.U()
-	t.latest = make([]atomic.Pointer[unode.UpdateNode], t.u)
+	t.latest = bt.Latest()
 	t.bits = bt
 	t.uall = alist.New(false)
 	t.ruall = alist.New(true)
@@ -172,7 +172,7 @@ func (t *Trie) Insert(x int64) { t.Add(x) }
 //
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Add(x int64) bool {
-	dNode := t.findLatest(x)
+	dNode := t.findLatestOrDummy(x)
 	if dNode.Kind != unode.Del {
 		return false // x already in S
 	}
@@ -226,7 +226,7 @@ func (t *Trie) Delete(x int64) { t.Remove(x) }
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Remove(x int64) bool {
 	iNode := t.findLatest(x)
-	if iNode.Kind != unode.Ins {
+	if iNode == nil || iNode.Kind != unode.Ins {
 		return false // x not in S
 	}
 	s := t.dom.Pin()

@@ -13,14 +13,14 @@ import (
 
 func TestLoadLatestMaterializesDummy(t *testing.T) {
 	tr := mustNew(t, 8)
-	n := tr.loadLatest(3)
+	n := tr.bits.LatestOrDummy(3)
 	if n == nil || !n.DummyNode || n.Kind != unode.Del || n.Key != 3 {
 		t.Fatalf("materialized node = %v, want dummy DEL(3)", n)
 	}
 	if !n.Active() {
 		t.Error("dummy must be active")
 	}
-	if got := tr.loadLatest(3); got != n {
+	if got := tr.bits.LatestOrDummy(3); got != n {
 		t.Error("second load must return the same dummy")
 	}
 	if got := tr.latest[3].Load(); got != n {
@@ -152,7 +152,7 @@ func TestHelpActivateRemovesCompletedNode(t *testing.T) {
 func TestHelpActivateIgnoresDummiesAndNil(t *testing.T) {
 	tr := mustNew(t, 8)
 	tr.helpActivate(nil, nil) // must not panic
-	d := tr.loadLatest(1)
+	d := tr.bits.LatestOrDummy(1)
 	tr.helpActivate(d, nil)
 	if tr.uall.Len() != 0 {
 		t.Error("dummy must never be announced")
@@ -222,5 +222,64 @@ func TestPallConcurrentInsertRemove(t *testing.T) {
 	wg.Wait()
 	if got := tr.pall.len(); got != 0 {
 		t.Fatalf("P-ALL length = %d, want 0 after churn", got)
+	}
+}
+
+// TestReadsNeverMaterializeDummies: reads treat a nil latest[x] as the
+// virtual dummy DEL node. Predecessor, both RelaxedPredecessor traversals,
+// a no-op Delete and a winning Delete's sibling reads leave every
+// never-touched slot nil, and the trie reads allocate nothing.
+func TestReadsNeverMaterializeDummies(t *testing.T) {
+	const u = 1 << 10
+	tr := mustNew(t, u)
+	// Keys on both sides of 64-key block boundaries. Their inserts
+	// materialize the dummies InsertBinaryTrie lowers; those slots are
+	// touched and not checked below.
+	for _, k := range []int64{63, 64, 500, 640} {
+		tr.Insert(k)
+	}
+	untouched := func() map[int64]bool {
+		m := make(map[int64]bool)
+		for x := range tr.latest {
+			if tr.latest[x].Load() == nil {
+				m[int64(x)] = true
+			}
+		}
+		return m
+	}
+	before := untouched()
+	queries := []int64{0, 62, 65, 127, 499, 501, 639, 641, u - 1}
+	relaxedReads := func() {
+		for _, y := range queries {
+			tr.bits.RelaxedPredecessor(y)
+			tr.bits.RelaxedSuccessor(y)
+		}
+	}
+	noopDeletes := func() {
+		for _, y := range queries {
+			tr.Delete(y) // y is absent
+		}
+	}
+	for _, compressed := range []bool{true, false} {
+		tr.bits.SetCompressedDescents(compressed)
+		if n := testing.AllocsPerRun(20, relaxedReads); n != 0 {
+			t.Errorf("compressed=%v: RelaxedPredecessor/Successor allocate %.1f objects per pass, want 0", compressed, n)
+		}
+	}
+	if n := testing.AllocsPerRun(20, noopDeletes); n != 0 {
+		t.Errorf("no-op Deletes allocate %.1f objects per pass, want 0", n)
+	}
+	// Predecessor also announces itself in the P-ALL, whose EBR-pooled
+	// nodes take a while to recycle, so only its latest slots are checked.
+	for _, y := range queries {
+		tr.Predecessor(y)
+	}
+	tr.Delete(500) // sibling reads over untouched keys 501, 502–503, …
+	tr.Delete(64)
+	after := untouched()
+	for x := range before {
+		if !after[x] {
+			t.Errorf("latest[%d] was materialized by a read (%v)", x, tr.latest[x].Load())
+		}
 	}
 }

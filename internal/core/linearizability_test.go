@@ -39,18 +39,33 @@ func runRecorded(t *testing.T, u int64, workers int, script func(id int, rng *ra
 type opRunner struct {
 	tr  *core.Trie
 	rec *lincheck.Recorder
+	// rank, when set, records a script's sparse keys as their ranks, which
+	// fit the checker's key range 0..63; the map is order-preserving, so
+	// predecessor answers map too.
+	rank map[int64]int64
+}
+
+// recKey is the key (or predecessor answer) as the history records it.
+func (r opRunner) recKey(k int64) int64 {
+	if r.rank == nil || k < 0 {
+		return k
+	}
+	if rk, ok := r.rank[k]; ok {
+		return rk
+	}
+	return -2 // not a script key: no valid answer, so the check fails
 }
 
 func (r opRunner) insert(k int64) {
 	inv := r.rec.Begin()
 	r.tr.Insert(k)
-	r.rec.End(lincheck.OpInsert, k, 0, inv)
+	r.rec.End(lincheck.OpInsert, r.recKey(k), 0, inv)
 }
 
 func (r opRunner) delete(k int64) {
 	inv := r.rec.Begin()
 	r.tr.Delete(k)
-	r.rec.End(lincheck.OpDelete, k, 0, inv)
+	r.rec.End(lincheck.OpDelete, r.recKey(k), 0, inv)
 }
 
 func (r opRunner) search(k int64) {
@@ -60,13 +75,13 @@ func (r opRunner) search(k int64) {
 	if got {
 		res = 1
 	}
-	r.rec.End(lincheck.OpSearch, k, res, inv)
+	r.rec.End(lincheck.OpSearch, r.recKey(k), res, inv)
 }
 
 func (r opRunner) predecessor(y int64) {
 	inv := r.rec.Begin()
 	got := r.tr.Predecessor(y)
-	r.rec.End(lincheck.OpPredecessor, y, got, inv)
+	r.rec.End(lincheck.OpPredecessor, r.recKey(y), r.recKey(got), inv)
 }
 
 func rounds(t *testing.T, n int) int {
@@ -82,6 +97,36 @@ func TestCoreLinearizableUniform(t *testing.T) {
 		runRecorded(t, 16, 3, func(id int, rng *rand.Rand, do opRunner) {
 			for i := 0; i < 6; i++ {
 				k := rng.Int63n(16)
+				switch rng.Intn(4) {
+				case 0:
+					do.insert(k)
+				case 1:
+					do.delete(k)
+				case 2:
+					do.search(k)
+				case 3:
+					do.predecessor(k)
+				}
+			}
+		})
+	}
+}
+
+// TestCoreLinearizableAcrossBlocks: random mixed workloads at u = 2^10 on
+// keys either side of 64-key block boundaries (and the height-9 boundary at
+// 512), so walks cross from the packed low-level blocks into the heap-order
+// region and back down into a neighbouring block.
+func TestCoreLinearizableAcrossBlocks(t *testing.T) {
+	keys := []int64{0, 63, 64, 127, 128, 511, 512, 575, 576, 1023}
+	rank := make(map[int64]int64, len(keys))
+	for i, k := range keys {
+		rank[k] = int64(i)
+	}
+	for round := 0; round < rounds(t, 300); round++ {
+		runRecorded(t, 1<<10, 3, func(id int, rng *rand.Rand, do opRunner) {
+			do.rank = rank
+			for i := 0; i < 6; i++ {
+				k := keys[rng.Intn(len(keys))]
 				switch rng.Intn(4) {
 				case 0:
 					do.insert(k)

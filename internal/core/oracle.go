@@ -22,22 +22,25 @@ func (o *oracle) FirstActivated(n *unode.UpdateNode) bool {
 	return (*Trie)(o).firstActivated(n)
 }
 
-// loadLatest returns latest[x], materializing the dummy DEL node on first
-// touch (see DESIGN.md: the nil pointer stands for the paper's initial
-// per-key dummy).
-func (t *Trie) loadLatest(x int64) *unode.UpdateNode {
-	if p := t.latest[x].Load(); p != nil {
-		return p
-	}
-	t.latest[x].CompareAndSwap(nil, unode.NewDummyDel(x, t.b))
-	return t.latest[x].Load()
+// findLatest returns the first activated update node in the latest[x] list
+// (paper lines 116–120, Lemma 5.4), or nil while latest[x] is still the
+// virtual dummy. It reads only.
+func (t *Trie) findLatest(x int64) *unode.UpdateNode {
+	return firstActivatedIn(t.latest[x].Load())
 }
 
-// findLatest returns the first activated update node in the latest[x] list
-// (paper lines 116–120, Lemma 5.4).
-func (t *Trie) findLatest(x int64) *unode.UpdateNode {
-	uNode := t.loadLatest(x)
-	if uNode.Status.Load() == unode.StatusInactive {
+// findLatestOrDummy is findLatest for an Insert, which needs a concrete
+// DEL node to replace: it materializes the dummy DEL node on first touch
+// (see DESIGN.md: the nil pointer stands for the paper's initial per-key
+// dummy).
+func (t *Trie) findLatestOrDummy(x int64) *unode.UpdateNode {
+	return firstActivatedIn(t.bits.LatestOrDummy(x))
+}
+
+// firstActivatedIn returns the first activated node of the latest list
+// headed by uNode (nil for the virtual dummy's empty head).
+func firstActivatedIn(uNode *unode.UpdateNode) *unode.UpdateNode {
+	if uNode != nil && uNode.Status.Load() == unode.StatusInactive {
 		if uNode2 := uNode.LatestNext.Load(); uNode2 != nil {
 			return uNode2
 		}

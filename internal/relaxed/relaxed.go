@@ -43,7 +43,7 @@ func New(u int64) (*Trie, error) {
 	}
 	t.b = bt.B()
 	t.u = bt.U()
-	t.latest = make([]atomic.Pointer[unode.UpdateNode], t.u)
+	t.latest = bt.Latest()
 	t.bits = bt
 	return t, nil
 }
@@ -69,25 +69,15 @@ type oracle Trie
 var _ bitstrie.Oracle = (*oracle)(nil)
 
 // FindLatest returns the update node pointed to by latest[x] (paper lines
-// 13–14), materializing the dummy DEL node on first touch (DESIGN.md).
+// 13–14), nil for the virtual dummy DEL node of an untouched key.
 func (o *oracle) FindLatest(x int64) *unode.UpdateNode {
-	return (*Trie)(o).findLatest(x)
+	return (*Trie)(o).latest[x].Load()
 }
 
 // FirstActivated reports whether n is pointed to by latest[n.Key] (paper
 // lines 19–21). All §4 update nodes are considered active.
 func (o *oracle) FirstActivated(n *unode.UpdateNode) bool {
 	return (*Trie)(o).latest[n.Key].Load() == n
-}
-
-func (t *Trie) findLatest(x int64) *unode.UpdateNode {
-	if p := t.latest[x].Load(); p != nil {
-		return p
-	}
-	// Materialize the dummy DEL node for x; the loser's allocation is
-	// dropped and the winner is re-read, so all processes agree.
-	t.latest[x].CompareAndSwap(nil, unode.NewDummyDel(x, t.b))
-	return t.latest[x].Load()
 }
 
 // Search reports whether x is in the set (paper lines 15–18). O(1): one
@@ -105,7 +95,7 @@ func (t *Trie) Search(x int64) bool {
 //
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Insert(x int64) {
-	dNode := t.findLatest(x)
+	dNode := t.bits.LatestOrDummy(x)
 	if dNode.Kind != unode.Del {
 		return // x already in S
 	}
@@ -135,8 +125,8 @@ func (t *Trie) Insert(x int64) {
 //
 // Precondition: 0 ≤ x < U().
 func (t *Trie) Delete(x int64) {
-	iNode := t.findLatest(x)
-	if iNode.Kind != unode.Ins {
+	iNode := t.latest[x].Load()
+	if iNode == nil || iNode.Kind != unode.Ins {
 		return // x not in S
 	}
 	dNode := unode.NewDel(x, t.b)

@@ -362,3 +362,40 @@ func TestBottomOnlyUnderContention(t *testing.T) {
 	}
 	checkQuiescent(t, tr, want)
 }
+
+// TestReadsNeverMaterializeDummies: Predecessor, Successor, Search, a no-op
+// Delete and a winning Delete's sibling reads treat a nil latest[x] as the
+// virtual dummy: never-touched slots stay nil and the reads allocate
+// nothing.
+func TestReadsNeverMaterializeDummies(t *testing.T) {
+	const u = 1 << 10
+	tr := newTrie(t, u)
+	for _, k := range []int64{63, 64, 500, 640} {
+		tr.Insert(k)
+	}
+	latest := tr.Bits().Latest()
+	var before []int64
+	for x := range latest {
+		if latest[x].Load() == nil {
+			before = append(before, int64(x))
+		}
+	}
+	reads := func() {
+		for _, y := range []int64{0, 62, 65, 127, 499, 501, 639, 641, u - 1} {
+			tr.Predecessor(y)
+			tr.Successor(y)
+			tr.Search(y)
+			tr.Delete(y) // y is absent: a no-op
+		}
+	}
+	if n := testing.AllocsPerRun(20, reads); n != 0 {
+		t.Errorf("reads allocate %.1f objects per pass, want 0", n)
+	}
+	tr.Delete(500)
+	tr.Delete(64)
+	for _, x := range before {
+		if n := latest[x].Load(); n != nil {
+			t.Errorf("latest[%d] = %v was materialized by a read", x, n)
+		}
+	}
+}
